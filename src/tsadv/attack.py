@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .models import ArchitectureConfig, as_conv_input, build_gatn
-from .nn import Adam, Network, TrainingDivergedError, input_gradient_with_probs, l2, predict
+from .nn import Adam, Network, TrainingDivergedError, input_gradient_with_probs, l2
 
 BETA_GRID = tuple(10.0**-b for b in range(1, 6))
 
@@ -123,34 +123,48 @@ def make_attack_run(config: AttackConfig, input_length: int, teacher_model: Netw
                      surrogate_is_teacher=is_teacher, provenance=dict(provenance or {}))
 
 
-def generate(run: AttackRun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def surrogate_signal(surrogate: Network, x: np.ndarray, target_class: int,
+                     dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's gradient input and the clean prediction for each series.
+
+    Returns (x_tilde, y_clean): the gradient of the frozen surrogate's
+    target-class probability with respect to each series of ``x`` [N, T],
+    cast to ``dtype``, and the surrogate's class probabilities [N, C]. The
+    surrogate runs in inference mode, so each row depends on its own series
+    only and one pass serves every generator trained or run on ``x``.
+    """
+    grad3, y_clean = input_gradient_with_probs(surrogate, as_conv_input(x, dtype), target_class)
+    return grad3[:, 0, :].astype(dtype), y_clean
+
+
+def generate(run: AttackRun, x: np.ndarray,
+             signal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Craft adversarial series for a sample or batch; no parameters change.
 
-    Pass 1 over the surrogate yields the input gradient and the clean
-    prediction; the generator maps (x, gradient) to x_hat; pass 2 yields the
-    surrogate's prediction on x_hat.
+    The generator maps each series and the surrogate's input gradient to the
+    adversarial series x_hat. ``signal`` is ``surrogate_signal`` of ``x``,
+    computed here when not given.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
     dtype = run.gatn.parameters()[0].dtype
-    grad3, y_clean = input_gradient_with_probs(run.surrogate, as_conv_input(x2, dtype), run.config.target_class)
-    x_tilde = grad3[:, 0, :]
-    x_hat = run.gatn.forward((Tensor(x2.astype(dtype)), Tensor(x_tilde.astype(dtype))),
-                             training=False).data
-    _, y_adv = predict(run.surrogate, as_conv_input(x_hat, dtype))
-    if single:
-        return x_hat[0], y_clean[0], y_adv[0]
-    return x_hat, y_clean, y_adv
+    if signal is None:
+        signal = surrogate_signal(run.surrogate, x2, run.config.target_class, dtype)
+    x_tilde, _ = signal
+    x_hat = run.gatn.forward((Tensor(x2.astype(dtype)), Tensor(x_tilde)), training=False).data
+    return x_hat[0] if single else x_hat
 
 
-def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray) -> AttackRun:
+def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
+               signal: tuple[np.ndarray, np.ndarray] | None = None) -> AttackRun:
     """Minimize the mean generator loss over the evaluation split.
 
-    The surrogate is frozen: its input gradients are recomputed fresh every
-    batch, its parameters are asserted bitwise unchanged afterwards, and only
-    ground-truth-free quantities (series values, surrogate predictions) are
-    consumed.
+    The surrogate is frozen: its input gradients and clean predictions
+    (``signal``, ``surrogate_signal`` of the split, computed here when not
+    given) are taken once and indexed per batch, its parameters are asserted
+    bitwise unchanged afterwards, and only ground-truth-free quantities
+    (series values, surrogate predictions) are consumed.
     """
     x = d_eval.values if isinstance(d_eval, Dataset) else np.asarray(d_eval)
     config = run.config
@@ -159,6 +173,9 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray) -> AttackRun:
     n = x_all.shape[0]
     batch_size = min(config.batch_size, n)
     surrogate_before = run.surrogate.state_hash()
+    if signal is None:
+        signal = surrogate_signal(run.surrogate, x_all, config.target_class, dtype)
+    x_tilde_all, y_clean_all = signal
     rng = np.random.default_rng(config.seed)
     opt = Adam(run.gatn.parameters(), lr=config.lr)
     for epoch in range(config.epochs):
@@ -167,14 +184,11 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray) -> AttackRun:
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             xb = x_all[idx]
-            grad3, y_clean = input_gradient_with_probs(
-                run.surrogate, as_conv_input(xb, dtype), config.target_class)
-            x_tilde = grad3[:, 0, :].astype(dtype)
             opt.zero_grad()
-            x_hat = run.gatn.forward((Tensor(xb), Tensor(x_tilde)), training=True)
+            x_hat = run.gatn.forward((Tensor(xb), Tensor(x_tilde_all[idx])), training=True)
             y_adv = ad.softmax(run.surrogate.forward(
                 ad.reshape(x_hat, (x_hat.data.shape[0], 1, -1)), training=False), axis=1)
-            loss = gatn_loss(xb, x_hat, y_clean, y_adv, config)
+            loss = gatn_loss(xb, x_hat, y_clean_all[idx], y_adv, config)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDivergedError(f"non-finite attack loss in epoch {epoch}")
@@ -201,16 +215,20 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
     runs = []
     reports = []
     x = d_eval.values
-    y_true = d_eval.labels
+    pred_clean = teacher.predict_labels(x)
+    signal = None
     for beta in betas:
         config = replace(base_config, beta=beta)
         run = make_attack_run(config, input_length=x.shape[1], teacher_model=teacher_model,
                               student=student, provenance=provenance)
-        train_gatn(run, x)
-        x_hat, _, _ = generate(run, x)
+        if signal is None:
+            signal = surrogate_signal(run.surrogate, x, config.target_class,
+                                      run.gatn.parameters()[0].dtype)
+        train_gatn(run, x, signal)
+        x_hat = generate(run, x, signal)
         report = count_adversaries_labeled(
-            teacher, x, x_hat, y_true, dataset=d_eval.name, box_mode=config.box_mode,
-            teacher_kind=config.teacher_kind, beta=beta, split="d_eval")
+            teacher, x, x_hat, d_eval.labels, dataset=d_eval.name, box_mode=config.box_mode,
+            teacher_kind=config.teacher_kind, beta=beta, split="d_eval", pred_clean=pred_clean)
         runs.append(run)
         reports.append(report)
     best = min(range(len(betas)), key=lambda i: (

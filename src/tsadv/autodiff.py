@@ -107,8 +107,13 @@ def _wrap(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient reaching ``t`` is stored or propagated further."""
+    return t.requires_grad or t._backward is not None
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad and t._backward is None:
+    if not _needs_grad(t):
         return
     g = g.astype(t.data.dtype, copy=False)
     t.grad = g if t.grad is None else t.grad + g
@@ -116,7 +121,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if any(_needs_grad(p) for p in parents):
         out.requires_grad = False
         out._parents = parents
         out._backward = backward
@@ -136,8 +141,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -146,8 +153,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -158,8 +167,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if _needs_grad(a):
+            _accumulate(a, g @ b.data.T)
+        if _needs_grad(b):
+            _accumulate(b, a.data.T @ g)
 
     return _node(data, (a, b), backward)
 
@@ -290,13 +301,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True) + b.data[None, :, None]
 
     def backward(g):
-        _accumulate(b, g.sum(axis=(0, 2)))
-        _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
-        d_windows = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
-        gxp = np.zeros_like(xp)
-        for k in range(K):
-            gxp[:, :, k : k + l_out] += d_windows[:, :, :, k]
-        _accumulate(x, gxp[:, :, left : left + L])
+        if _needs_grad(b):
+            _accumulate(b, g.sum(axis=(0, 2)))
+        if _needs_grad(w):
+            _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
+        if _needs_grad(x):
+            d_windows = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
+            gxp = np.zeros_like(xp)
+            for k in range(K):
+                gxp[:, :, k : k + l_out] += d_windows[:, :, :, k]
+            _accumulate(x, gxp[:, :, left : left + L])
 
     return _node(data, (x, w, b), backward)
 

@@ -29,7 +29,7 @@ from .evaluate import (
     save_reports_json,
 )
 from .models import ArchitectureConfig, TrainConfig, build_fcn, build_lenet5_1d, train_classifier
-from .nn import load_model, save_model
+from .nn import TrainingDivergedError, load_model, save_model
 from .synthetic import make_bump_dataset
 from .teachers import DTW1NNTeacher, FCNTeacher
 from .util import config_hash
@@ -253,6 +253,13 @@ def cmd_distill(args) -> int:
     return 0
 
 
+def _student_hash(out: str, box: str, teacher_kind: str, needed_by: str) -> str | None:
+    """State hash of the distilled student an attack of this kind goes after, if any."""
+    if box == "white" and teacher_kind == "fcn":
+        return None
+    return _load_manifest(out, "student", needed_by)["state_hash"]
+
+
 def _surrogate_for(out: str, box: str, teacher_kind: str, needed_by: str):
     teacher, teacher_model = _load_teacher(out, needed_by)
     if box == "white" and teacher_kind == "fcn":
@@ -273,7 +280,8 @@ def cmd_attack(args) -> int:
     cfg = {"box": args.box, "teacher": args.teacher, "alpha": args.alpha, "betas": betas,
            "target_class": args.target_class, "seed_gatn": args.seed_gatn,
            "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
-           "teacher_hash": teacher_manifest["config_hash"]}
+           "teacher_hash": teacher_manifest["config_hash"],
+           "student_hash": _student_hash(out, args.box, args.teacher, "attack")}
     cfg_hash = config_hash(cfg)
     if _stage_is_current(out, "attack", cfg_hash):
         return 0
@@ -298,6 +306,7 @@ def cmd_attack(args) -> int:
         "best_index": best, "best_beta": betas[best],
         "surrogate_is_teacher": runs[best].surrogate_is_teacher,
         "gatn_state_hashes": [run.gatn.state_hash() for run in runs],
+        "teacher_calls": dict(teacher.calls),
     })
     _echo_config(out, "attack", cfg)
     print(f"[attack] best beta {betas[best]:.0e}: "
@@ -309,6 +318,14 @@ def cmd_evaluate(args) -> int:
     out = args.out
     attack_manifest = _load_manifest(out, "attack", "evaluate")
     acfg = attack_manifest["config"]
+    cfg = {"attack": attack_manifest["config_hash"],
+           "gatn_state_hashes": attack_manifest["gatn_state_hashes"],
+           "teacher_hash": _load_manifest(out, "teacher", "evaluate")["config_hash"],
+           "student_hash": _student_hash(out, acfg["box"], acfg["teacher"], "evaluate"),
+           "criterion": args.criterion, "all_betas": args.all_betas}
+    cfg_hash = config_hash(cfg)
+    if _stage_is_current(out, "reports", cfg_hash):
+        return 0
     teacher, teacher_model, student = _surrogate_for(out, acfg["box"], acfg["teacher"], "evaluate")
     d_eval = _load_split(out, "d_eval", "evaluate")
     d_test = _load_split(out, "d_test", "evaluate")
@@ -324,7 +341,7 @@ def cmd_evaluate(args) -> int:
                               student=student)
         run.gatn = load_model(os.path.join(out, "attack", attack_manifest["gatn_files"][i]))
         x = d_eval.values
-        x_hat, _, _ = generate(run, x)
+        x_hat = generate(run, x)
         kwargs = dict(dataset=d_eval.name, box_mode=config.box_mode,
                       teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval")
         if args.criterion == "unlabeled":
@@ -335,7 +352,7 @@ def cmd_evaluate(args) -> int:
             reports.append(generalization_eval(run, teacher, d_test))
         else:
             xt = d_test.values
-            xt_hat, _, _ = generate(run, xt)
+            xt_hat = generate(run, xt)
             reports.append(count(teacher, xt, xt_hat, dataset=d_test.name,
                                  box_mode=config.box_mode, teacher_kind=config.teacher_kind,
                                  beta=betas[i], split="d_test"))
@@ -344,10 +361,7 @@ def cmd_evaluate(args) -> int:
     save_reports_json(reports, os.path.join(stage, "reports.json"),
                       provenance={"out": out, "criterion": args.criterion})
     _write_json(os.path.join(stage, "manifest.json"),
-                {"config_hash": config_hash({"attack": attack_manifest["config_hash"],
-                                             "criterion": args.criterion,
-                                             "all_betas": args.all_betas}),
-                 "n_reports": len(reports)})
+                {"config_hash": cfg_hash, "config": cfg, "n_reports": len(reports)})
     for r in reports:
         print(f"[evaluate] {r.split:7s} beta={r.beta:.0e} criterion={r.criterion}: "
               f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
@@ -564,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config_file(parser, argv)
         return args.func(args)
-    except (MissingArtifactError, ValueError) as exc:
+    except (MissingArtifactError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -78,14 +78,20 @@ def _build_report(adversary_mask: np.ndarray, mse: np.ndarray, *, dataset: str,
 
 def count_adversaries_labeled(teacher, x: np.ndarray, x_hat: np.ndarray, y_true: np.ndarray,
                               *, dataset: str = "", box_mode: str = "", teacher_kind: str = "",
-                              beta: float = 0.0, split: str = "d_eval") -> AttackReport:
-    """Two-fold verification: clean prediction correct AND flipped by x_hat."""
+                              beta: float = 0.0, split: str = "d_eval",
+                              pred_clean: np.ndarray | None = None) -> AttackReport:
+    """Two-fold verification: clean prediction correct AND flipped by x_hat.
+
+    ``pred_clean`` is the teacher's label for each row of ``x``, queried here
+    when not given.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("no samples to evaluate")
     y_true = np.asarray(y_true, dtype=np.int64)
-    pred_clean = teacher.predict_labels(x)
+    if pred_clean is None:
+        pred_clean = teacher.predict_labels(x)
     pred_adv = teacher.predict_labels(x_hat)
     mask = (pred_clean == y_true) & (pred_adv != pred_clean)
     return _build_report(mask, _per_sample_mse(x, x_hat), dataset=dataset, box_mode=box_mode,
@@ -117,7 +123,7 @@ def generalization_eval(run, teacher, d_test: Dataset) -> AttackReport:
 
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
-    x_hat, _, _ = generate(run, x)
+    x_hat = generate(run, x)
     report = count_adversaries_labeled(
         teacher, x, x_hat, d_test.labels, dataset=d_test.name, box_mode=run.config.box_mode,
         teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test")

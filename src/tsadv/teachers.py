@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .dtw import DistanceMatrix, dtw_pairwise, nn1_classify, soft_1nn
+from .models import as_conv_input
 from .nn import Network, predict
 from .util import readonly
 
@@ -48,20 +49,15 @@ class FCNTeacher(Teacher):
 
     def predict_labels(self, x):
         self.calls["predict_labels"] += 1
-        _, probs = predict(self.model, _conv_input(x))
-        return np.argmax(probs, axis=1)
+        return np.argmax(self._probs(x), axis=1)
 
     def predict_proba(self, x):
         self.calls["predict_proba"] += 1
-        _, probs = predict(self.model, _conv_input(x))
+        return self._probs(x)
+
+    def _probs(self, x):
+        _, probs = predict(self.model, as_conv_input(x, self.model.parameters()[0].dtype))
         return probs
-
-
-def _conv_input(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 1:
-        x = x[None, :]
-    return x[:, None, :]
 
 
 class DTW1NNTeacher(Teacher):

@@ -378,6 +378,23 @@ class TestInputGradient:
         with pytest.raises(ValueError, match="out of range"):
             input_gradient(net, np.zeros((1, 1, 6)), 3)
 
+    @pytest.mark.parametrize("architecture", ["fcn", "lenet5"])
+    def test_frozen_parameters_get_no_gradient(self, architecture):
+        """Backward skips every partial of a frozen parameter and changes no input gradient."""
+        from tsadv.models import ArchitectureConfig, build_fcn, build_lenet5_1d
+
+        build = build_fcn if architecture == "fcn" else build_lenet5_1d
+        config = ArchitectureConfig(input_length=20, num_classes=3, architecture=architecture,
+                                    seed=44)
+        frozen, tracked_net = build(config), build(config)
+        frozen.set_requires_grad(False)
+        x = np.random.default_rng(44).normal(size=(5, 1, 20)).astype(np.float32)
+        g_frozen = input_gradient(frozen, x, 1)
+        g_tracked = input_gradient(tracked_net, x, 1)
+        assert all(p.grad is None for p in frozen.parameters())
+        assert all(p.grad is not None for p in tracked_net.parameters())
+        assert np.array_equal(g_frozen, g_tracked)
+
 
 class TestTrainStep:
     def _problem(self, lr):

@@ -49,6 +49,14 @@ class TestPipeline:
         after = json.load(open(os.path.join(white_fcn_run, "attack", "manifest.json")))
         assert before == after
 
+    def test_evaluate_rerun_is_noop(self, white_fcn_run, capsys):
+        path = os.path.join(white_fcn_run, "reports", "reports.json")
+        before = open(path, "rb").read()
+        capsys.readouterr()
+        assert run("evaluate", "--out", white_fcn_run) == 0
+        assert "up to date" in capsys.readouterr().out
+        assert open(path, "rb").read() == before
+
     def test_changed_config_retrains(self, white_fcn_run, capsys):
         assert run("attack", "--out", white_fcn_run, "--box", "white", "--teacher", "fcn",
                    "--beta", "1e-2", "--epochs", "2") == 0
@@ -99,6 +107,34 @@ class TestErrors:
         assert run("attack", "--out", white_fcn_run, "--box", "white",
                    "--teacher", "dtw1nn") == 1
         assert "train-teacher" in capsys.readouterr().err
+
+
+class TestBlackBoxProvenance:
+    def test_redistilled_student_retrains_generators(self, tmp_path, capsys):
+        out = str(tmp_path / "bb")
+        attack = ("attack", "--out", out, "--box", "black", "--teacher", "dtw1nn",
+                  "--beta-grid", "--epochs", "1")
+        assert run("prepare", "--out", out, "--synthetic") == 0
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "2") == 0
+        assert run(*attack) == 0
+        manifest = json.load(open(os.path.join(out, "attack", "manifest.json")))
+        # one query for the clean d_eval labels, then one per beta; never probabilities
+        assert manifest["teacher_calls"] == {"predict_labels": 1 + len(manifest["betas"]),
+                                             "predict_proba": 0}
+        capsys.readouterr()
+        assert run(*attack) == 0
+        assert "up to date" in capsys.readouterr().out
+        student_path = os.path.join(out, "student", "manifest.json")
+        first_student = json.load(open(student_path))["state_hash"]
+        # a new initialization, since the best-fidelity restore can make a
+        # longer run return the same parameters
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "2",
+                   "--seed-student", "1") == 0
+        assert json.load(open(student_path))["state_hash"] != first_student
+        capsys.readouterr()
+        assert run(*attack) == 0
+        assert "up to date" not in capsys.readouterr().out
 
 
 class TestConfigFile:
@@ -176,6 +212,37 @@ class TestBatch:
         assert datasets == {"PowerA", "PowerB"}
         splits = {r["split"] for r in report["reports"]}
         assert splits == {"d_eval", "d_test"}
+
+    def test_diverged_training_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
+        import tsadv.cli as cli
+        from tsadv.nn import TrainingDivergedError
+
+        train_classifier = cli.train_classifier
+
+        def diverge_on_power_b(model, dataset, hyper):
+            if dataset.name == "PowerB":
+                raise TrainingDivergedError("non-finite loss nan in epoch 0")
+            return train_classifier(model, dataset, hyper)
+
+        monkeypatch.setattr(cli, "train_classifier", diverge_on_power_b)
+        root = tmp_path / "archive"
+        for name, seed in (("PowerA", 3), ("PowerB", 4)):
+            ds_dir = root / name
+            ds_dir.mkdir(parents=True)
+            write_power_profile_archive(ds_dir / f"{name}_TRAIN.tsv", ds_dir / f"{name}_TEST.tsv",
+                                        n_train=12, n_test=24, length=24, seed=seed)
+        monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
+        single = str(tmp_path / "single")
+        assert run("prepare", "--out", single, "--dataset", "PowerB") == 0
+        assert run("train-teacher", "--out", single, "--teacher", "fcn", "--epochs", "1") == 1
+        assert "error: non-finite loss" in capsys.readouterr().err
+        out_root = str(tmp_path / "runs")
+        assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
+                   "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1",
+                   "--processes", "2") == 1
+        assert "PowerB" in capsys.readouterr().err
+        report = json.load(open(os.path.join(out_root, "report", "report.json")))
+        assert {r["dataset"] for r in report["reports"]} == {"PowerA"}
 
     def test_failed_dataset_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TSADV_UCR_ROOT", str(tmp_path / "nowhere"))
