@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .models import ArchitectureConfig, as_conv_input, build_gatn
-from .nn import Adam, Network, TrainingDivergedError, input_gradient_with_probs, l2
+from .nn import Network, fit, input_gradient_with_probs, l2
 
 BETA_GRID = tuple(10.0**-b for b in range(1, 6))
 
@@ -60,21 +60,26 @@ class AttackRun:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        direct = self.config.box_mode == "white" and self.config.teacher_kind == "fcn"
-        if self.surrogate_is_teacher and not direct:
+        if self.surrogate_is_teacher and not attacks_teacher(self.config.box_mode,
+                                                             self.config.teacher_kind):
             raise ValueError(
                 "the teacher may be attacked directly only for a white-box attack "
                 "on the fcn teacher")
 
 
+def attacks_teacher(box_mode: str, teacher_kind: str) -> bool:
+    """Whether the generator differentiates through the teacher itself.
+
+    Only a white-box attack on the neural teacher does; every other
+    combination attacks a distilled student.
+    """
+    return box_mode == "white" and teacher_kind == "fcn"
+
+
 def select_surrogate(box_mode: str, teacher_kind: str, teacher_model: Network | None,
                      student: Network | None) -> tuple[Network, bool]:
-    """The model the generator differentiates through.
-
-    Only a white-box attack on the neural teacher goes after the teacher
-    itself; every other combination attacks the distilled student.
-    """
-    if box_mode == "white" and teacher_kind == "fcn":
+    """The model the generator differentiates through (see :func:`attacks_teacher`)."""
+    if attacks_teacher(box_mode, teacher_kind):
         if teacher_model is None:
             raise ValueError("white-box fcn attack needs the teacher network")
         return teacher_model, True
@@ -141,9 +146,9 @@ def generate(run: AttackRun, x: np.ndarray,
              signal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Craft adversarial series for a sample or batch; no parameters change.
 
-    The generator maps each series and the surrogate's input gradient to the
-    adversarial series x_hat. ``signal`` is ``surrogate_signal`` of ``x``,
-    computed here when not given.
+    The generator maps each series joined with the surrogate's input gradient,
+    one [x, x_tilde] row, to the adversarial series x_hat. ``signal`` is
+    ``surrogate_signal`` of ``x``, computed here when not given.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -151,8 +156,8 @@ def generate(run: AttackRun, x: np.ndarray,
     dtype = run.gatn.parameters()[0].dtype
     if signal is None:
         signal = surrogate_signal(run.surrogate, x2, run.config.target_class, dtype)
-    x_tilde, _ = signal
-    x_hat = run.gatn.forward((Tensor(x2.astype(dtype)), Tensor(x_tilde)), training=False).data
+    joined = np.concatenate([x2.astype(dtype), signal[0]], axis=1)
+    x_hat = run.gatn.forward(Tensor(joined), training=False).data
     return x_hat[0] if single else x_hat
 
 
@@ -170,32 +175,19 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
     config = run.config
     dtype = run.gatn.parameters()[0].dtype
     x_all = x.astype(dtype)
-    n = x_all.shape[0]
-    batch_size = min(config.batch_size, n)
     surrogate_before = run.surrogate.state_hash()
     if signal is None:
         signal = surrogate_signal(run.surrogate, x_all, config.target_class, dtype)
     x_tilde_all, y_clean_all = signal
-    rng = np.random.default_rng(config.seed)
-    opt = Adam(run.gatn.parameters(), lr=config.lr)
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            xb = x_all[idx]
-            opt.zero_grad()
-            x_hat = run.gatn.forward((Tensor(xb), Tensor(x_tilde_all[idx])), training=True)
-            y_adv = ad.softmax(run.surrogate.forward(
-                ad.reshape(x_hat, (x_hat.data.shape[0], 1, -1)), training=False), axis=1)
-            loss = gatn_loss(xb, x_hat, y_clean_all[idx], y_adv, config)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"non-finite attack loss in epoch {epoch}")
-            loss.backward()
-            opt.step()
-            losses.append(value)
-        run.gatn.training_log.append({"epoch": epoch, "loss": float(np.mean(losses))})
+    joined = np.concatenate([x_all, x_tilde_all], axis=1)
+
+    def batch_loss(idx):
+        x_hat = run.gatn.forward(Tensor(joined[idx]), training=True)
+        y_adv = ad.softmax(run.surrogate.forward(
+            ad.reshape(x_hat, (len(idx), 1, -1)), training=False), axis=1)
+        return gatn_loss(x_all[idx], x_hat, y_clean_all[idx], y_adv, config)
+
+    fit(run.gatn, x_all.shape[0], batch_loss, config)
     if run.surrogate.state_hash() != surrogate_before:
         raise RuntimeError("surrogate parameters changed during generator training")
     return run

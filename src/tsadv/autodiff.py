@@ -33,12 +33,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate gradients of this scalar into all tracked ancestors."""
         if self.data.size != 1:

@@ -16,7 +16,14 @@ import sys
 
 import numpy as np
 
-from .attack import BETA_GRID, AttackConfig, beta_grid_search, generate, make_attack_run
+from .attack import (
+    BETA_GRID,
+    AttackConfig,
+    attacks_teacher,
+    beta_grid_search,
+    generate,
+    make_attack_run,
+)
 from .data import Dataset, load_ucr, preprocess_dataset, remap_labels, save_ucr, stratified_split
 from .distill import DistillConfig, teacher_outputs, train_student
 from .evaluate import (
@@ -87,9 +94,12 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
     return _read_json(path)
 
 
-def _stage_is_current(out: str, stage: str, cfg_hash: str) -> bool:
+def _stage_is_current(out: str, stage: str, cfg_hash: str, files: list[str]) -> bool:
+    """True when the stage's manifest carries ``cfg_hash`` and every file in
+    ``files``, the artifacts the stage writes beside it, still exists."""
     path = os.path.join(out, stage, "manifest.json")
-    if os.path.exists(path) and _read_json(path).get("config_hash") == cfg_hash:
+    if (os.path.exists(path) and _read_json(path).get("config_hash") == cfg_hash
+            and all(os.path.exists(os.path.join(out, stage, f)) for f in files)):
         print(f"[{stage}] up to date (config {cfg_hash}), skipping")
         return True
     return False
@@ -141,7 +151,7 @@ def cmd_prepare(args) -> int:
            "files": None if args.synthetic else [os.path.abspath(train_file),
                                                  os.path.abspath(test_file)]}
     cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "prepare", cfg_hash):
+    if _stage_is_current(out, "prepare", cfg_hash, ["teacher_train.tsv", "d_eval.tsv", "d_test.tsv"]):
         return 0
     split = stratified_split(pool, seed=args.seed_split)
     stage = _stage_dir(out, "prepare")
@@ -183,7 +193,7 @@ def cmd_train_teacher(args) -> int:
            "batch_size": args.batch_size, "lr": args.lr, "early_stop_acc": args.early_stop_acc,
            "prepare": prep["config_hash"]}
     cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "teacher", cfg_hash):
+    if _stage_is_current(out, "teacher", cfg_hash, ["fcn.npz"] if args.teacher == "fcn" else []):
         return 0
     stage = _stage_dir(out, "teacher")
     train_set = _load_split(out, "teacher_train", "train-teacher")
@@ -222,12 +232,15 @@ def _load_teacher(out: str, needed_by: str):
 def cmd_distill(args) -> int:
     out = args.out
     teacher_manifest = _load_manifest(out, "teacher", "distill")
-    gamma = args.gamma if args.gamma is not None else (0.5 if args.box == "white" else 1.0)
-    cfg = {"box": args.box, "gamma": gamma, "tau": args.tau, "seed_student": args.seed_student,
-           "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
+    kwargs = dict(tau=args.tau, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+                  seed=args.seed_student)
+    config = (DistillConfig.for_box_mode(args.box, **kwargs) if args.gamma is None
+              else DistillConfig(gamma=args.gamma, **kwargs))
+    cfg = {"box": args.box, "gamma": config.gamma, "tau": args.tau, "epochs": args.epochs,
+           "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr,
            "teacher": teacher_manifest["config_hash"]}
     cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "student", cfg_hash):
+    if _stage_is_current(out, "student", cfg_hash, ["teacher_outputs.npz", "student.npz"]):
         return 0
     stage = _stage_dir(out, "student")
     teacher, _ = _load_teacher(out, "distill")
@@ -240,8 +253,6 @@ def cmd_distill(args) -> int:
     student = build_lenet5_1d(ArchitectureConfig(
         input_length=d_eval.length, num_classes=teacher.num_classes,
         architecture="lenet5", seed=args.seed_student))
-    config = DistillConfig(gamma=gamma, tau=args.tau, epochs=args.epochs,
-                           batch_size=args.batch_size, lr=args.lr, seed=args.seed_student)
     train_student(student, d_eval.values, outputs, config)
     save_model(student, os.path.join(stage, "student.npz"))
     fidelity = student.training_log[-1]["best_fidelity"]
@@ -254,17 +265,25 @@ def cmd_distill(args) -> int:
 
 
 def _student_hash(out: str, box: str, teacher_kind: str, needed_by: str) -> str | None:
-    """State hash of the distilled student an attack of this kind goes after, if any."""
-    if box == "white" and teacher_kind == "fcn":
+    """State hash of the distilled student an attack of this kind goes after, if any.
+
+    A black-box attack accepts only a student distilled from hard labels.
+    """
+    if attacks_teacher(box, teacher_kind):
         return None
-    return _load_manifest(out, "student", needed_by)["state_hash"]
+    manifest = _load_manifest(out, "student", needed_by)
+    if box == "black" and manifest["mode"] != "hard":
+        raise MissingArtifactError(
+            f"black-box {needed_by} needs a student distilled from hard labels, but the student "
+            f"stage used {manifest['mode']} targets; rerun `tsadv distill --box black` first")
+    return manifest["state_hash"]
 
 
 def _surrogate_for(out: str, box: str, teacher_kind: str, needed_by: str):
+    """Teacher, teacher network and student; call after :func:`_student_hash`."""
     teacher, teacher_model = _load_teacher(out, needed_by)
-    if box == "white" and teacher_kind == "fcn":
+    if attacks_teacher(box, teacher_kind):
         return teacher, teacher_model, None
-    _load_manifest(out, "student", needed_by)
     student = load_model(os.path.join(out, "student", "student.npz"))
     return teacher, teacher_model, student
 
@@ -283,7 +302,8 @@ def cmd_attack(args) -> int:
            "teacher_hash": teacher_manifest["config_hash"],
            "student_hash": _student_hash(out, args.box, args.teacher, "attack")}
     cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "attack", cfg_hash):
+    gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
+    if _stage_is_current(out, "attack", cfg_hash, gatn_files + ["grid_reports.json"]):
         return 0
     stage = _stage_dir(out, "attack")
     teacher, teacher_model, student = _surrogate_for(out, args.box, args.teacher, "attack")
@@ -295,11 +315,8 @@ def cmd_attack(args) -> int:
     runs, reports, best = beta_grid_search(base, d_eval, teacher, teacher_model=teacher_model,
                                            student=student, betas=tuple(betas),
                                            provenance=provenance)
-    gatn_files = []
-    for run, beta in zip(runs, betas):
-        fname = f"gatn_beta_{beta:.0e}.npz"
+    for run, fname in zip(runs, gatn_files):
         save_model(run.gatn, os.path.join(stage, fname))
-        gatn_files.append(fname)
     save_reports_json(reports, os.path.join(stage, "grid_reports.json"), provenance=provenance)
     _write_json(os.path.join(stage, "manifest.json"), {
         "config_hash": cfg_hash, "config": cfg, "betas": betas, "gatn_files": gatn_files,
@@ -324,7 +341,7 @@ def cmd_evaluate(args) -> int:
            "student_hash": _student_hash(out, acfg["box"], acfg["teacher"], "evaluate"),
            "criterion": args.criterion, "all_betas": args.all_betas}
     cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "reports", cfg_hash):
+    if _stage_is_current(out, "reports", cfg_hash, ["reports.csv", "reports.json"]):
         return 0
     teacher, teacher_model, student = _surrogate_for(out, acfg["box"], acfg["teacher"], "evaluate")
     d_eval = _load_split(out, "d_eval", "evaluate")
@@ -438,7 +455,7 @@ def cmd_batch(args) -> int:
              "--epochs", str(args.epochs), "--beta-grid"],
             ["evaluate", "--out", out],
         ]
-        if not (args.box == "white" and args.teacher == "fcn"):
+        if not attacks_teacher(args.box, args.teacher):
             stages.insert(2, ["distill", "--out", out, "--box", args.box,
                               "--epochs", str(args.student_epochs)])
         jobs.append((name, stages))

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .models import as_conv_input
-from .nn import Adam, Network, TrainingDivergedError, cross_entropy, predict
+from .nn import Network, cross_entropy, fit, predict
 from .teachers import Teacher
 from .util import one_hot, softmax_np
 
@@ -154,32 +154,21 @@ def train_student(student: Network, d_eval: Dataset | np.ndarray,
     x_all = as_conv_input(x, dtype=dtype)
     targets = distill_target(outputs, config.tau).astype(dtype)
     y_hard = one_hot(outputs.hard_labels, outputs.num_classes, dtype=dtype)
-    n = x_all.shape[0]
-    batch_size = min(config.batch_size, n)
-    rng = np.random.default_rng(config.seed)
-    opt = Adam(student.parameters(), lr=config.lr)
-    best_fidelity = -1.0
-    best_state = None
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            opt.zero_grad()
-            logits = student.forward(Tensor(x_all[idx]), training=True)
-            loss = distill_loss(logits, targets[idx], y_hard[idx], config)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"non-finite distillation loss in epoch {epoch}")
-            loss.backward()
-            opt.step()
-            losses.append(value)
+    best_fidelity, best_state = -1.0, None
+
+    def batch_loss(idx):
+        logits = student.forward(Tensor(x_all[idx]), training=True)
+        return distill_loss(logits, targets[idx], y_hard[idx], config)
+
+    def end_epoch(entry):
+        nonlocal best_fidelity, best_state
         fidelity = student_fidelity(student, x, outputs.hard_labels)
         if fidelity > best_fidelity:
             best_fidelity = fidelity
             best_state = [p.data.copy() for p in student.parameters()]
-        student.training_log.append({"epoch": epoch, "loss": float(np.mean(losses)),
-                                     "fidelity": fidelity, "best_fidelity": best_fidelity})
+        entry.update(fidelity=fidelity, best_fidelity=best_fidelity)
+
+    fit(student, x_all.shape[0], batch_loss, config, end_epoch)
     if best_state is not None:
         for p, data in zip(student.parameters(), best_state):
             p.data = data

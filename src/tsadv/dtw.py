@@ -10,12 +10,11 @@ contiguous warping paths from cell (1,1) to (n,m), with an unconstrained
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, TimeSeries
+from .data import TimeSeries
 from .util import readonly, softmax_np
 
 
@@ -117,12 +116,6 @@ def dtw_pairwise(eval_values: np.ndarray, ref_values: np.ndarray,
     return np.stack([np.sqrt(_dtw_final_row(q, ref_values)) for q in eval_values])
 
 
-def dtw_distance_matrix(eval_set: Dataset, ref_set: Dataset, processes: int | None = None) -> DistanceMatrix:
-    """Batched :func:`dtw_distance` over two datasets, labeled by the reference set."""
-    values = dtw_pairwise(eval_set.values, ref_set.values, processes=processes)
-    return DistanceMatrix(values=values, train_labels=ref_set.labels)
-
-
 def nn1_classify(v: DistanceMatrix) -> np.ndarray:
     """Per row, the train label of the minimum-distance column (ties: lowest index)."""
     return v.train_labels[np.argmin(v.values, axis=1)]
@@ -146,11 +139,3 @@ def soft_1nn(v: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
     probs = softmax_np(scores, temperature=1.0, axis=1)
     return probs, np.argmax(probs, axis=1)
 
-
-def save_distance_matrix(v: DistanceMatrix, path: str | os.PathLike) -> None:
-    np.savez(path, values=v.values, train_labels=v.train_labels)
-
-
-def load_distance_matrix(path: str | os.PathLike) -> DistanceMatrix:
-    with np.load(path) as data:
-        return DistanceMatrix(values=data["values"], train_labels=data["train_labels"])

@@ -5,8 +5,8 @@
 * lenet5: conv(6, k5, valid) -> pool2 -> conv(16, k5, valid) -> pool2 ->
   flatten -> dense 120 -> dense 84 -> dense head (1-D reading of the classic
   5x5 image kernels; pooling 2/2).
-* gatn: concat(x, input-gradient) -> dense hidden stack -> dense(T, linear),
-  emitting the adversarial series directly.
+* gatn: dense hidden stack -> dense(T, linear) over the [B, 2T] rows
+  [x, input-gradient], emitting the adversarial series directly.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .nn import (
-    Adam,
     BatchNorm1d,
-    Concat,
     Conv1d,
     Dense,
     Flatten,
@@ -27,8 +25,8 @@ from .nn import (
     MaxPool1d,
     Network,
     ReLU,
-    TrainingDivergedError,
     cross_entropy,
+    fit,
     predict,
 )
 from . import autodiff as ad
@@ -113,7 +111,7 @@ def build_gatn(config: ArchitectureConfig) -> Network:
     if not config.gatn_hidden_units:
         raise ValueError("gatn needs at least one hidden layer")
     rng = np.random.default_rng(config.seed)
-    layers: list = [Concat()]
+    layers = []
     in_features = 2 * config.input_length
     for units in config.gatn_hidden_units:
         layers.append(Dense(in_features, units, rng=rng, dtype=config.dtype))
@@ -149,30 +147,14 @@ def train_classifier(model: Network, dataset: Dataset, hyper: TrainConfig) -> Ne
     dtype = model.parameters()[0].dtype
     x_all = as_conv_input(dataset.values, dtype=dtype)
     y_all = one_hot(dataset.labels, dataset.num_classes, dtype=dtype)
-    n = x_all.shape[0]
-    batch_size = min(hyper.batch_size, n)
-    rng = np.random.default_rng(hyper.seed)
-    opt = Adam(model.parameters(), lr=hyper.lr)
-    for epoch in range(hyper.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            opt.zero_grad()
-            logits = model.forward(Tensor(x_all[idx]), training=True)
-            probs = ad.softmax(logits, axis=1)
-            loss = cross_entropy(y_all[idx], probs)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss {value} in epoch {epoch} (architecture={model.architecture})")
-            loss.backward()
-            opt.step()
-            losses.append(value)
+
+    def batch_loss(idx):
+        logits = model.forward(Tensor(x_all[idx]), training=True)
+        return cross_entropy(y_all[idx], ad.softmax(logits, axis=1))
+
+    def end_epoch(entry):
         _, probs = predict(model, x_all)
-        acc = float((np.argmax(probs, axis=1) == dataset.labels).mean())
-        model.training_log.append(
-            {"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": acc})
-        if hyper.early_stop_acc is not None and acc >= hyper.early_stop_acc:
-            break
-    return model
+        entry["accuracy"] = float((np.argmax(probs, axis=1) == dataset.labels).mean())
+        return hyper.early_stop_acc is not None and entry["accuracy"] >= hyper.early_stop_acc
+
+    return fit(model, x_all.shape[0], batch_loss, hyper, end_epoch)

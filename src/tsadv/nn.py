@@ -1,4 +1,4 @@
-"""Layers, sequential networks, losses, the Adam optimizer and model files.
+"""Layers, sequential networks, losses, Adam, the shared training loop and model files.
 
 A Network is an ordered stack of layers with explicit parameter arrays; the
 whole thing is plain numpy so a saved model reloads bit-exactly. Training is
@@ -220,19 +220,8 @@ class Dense(Layer):
         return {"kind": self.kind, "in_features": self.in_features, "units": self.units}
 
 
-class Concat(Layer):
-    """Joins a tuple of [B, F_i] inputs along the feature axis; must come first."""
-
-    kind = "concat"
-
-    def forward(self, x, training):
-        if not isinstance(x, (tuple, list)):
-            raise ValueError("concat layer expects a tuple of inputs")
-        return ad.concat(list(x), axis=1)
-
-
 _LAYER_KINDS = {cls.kind: cls for cls in
-                (Conv1d, BatchNorm1d, ReLU, MaxPool1d, GlobalAvgPool1d, Flatten, Dense, Concat)}
+                (Conv1d, BatchNorm1d, ReLU, MaxPool1d, GlobalAvgPool1d, Flatten, Dense)}
 
 
 class Network:
@@ -263,10 +252,6 @@ class Network:
         for p in self.parameters():
             p.requires_grad = flag
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def state_arrays(self) -> list[np.ndarray]:
         return [arr for layer in self.layers for arr in layer.state().values()]
 
@@ -278,29 +263,18 @@ def predict(model: Network, x: np.ndarray, temperature: float = 1.0) -> tuple[np
     """Inference-mode logits and temperature-scaled softmax probabilities."""
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    logits = model.forward(_as_input(x), training=False).data
+    logits = model.forward(Tensor(np.asarray(x)), training=False).data
     return logits, softmax_np(logits, temperature=temperature, axis=1)
-
-
-def _as_input(x) -> Tensor | tuple:
-    if isinstance(x, (tuple, list)):
-        return tuple(v if isinstance(v, Tensor) else Tensor(np.asarray(v)) for v in x)
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
-def input_gradient(model: Network, x: np.ndarray, target_class: int) -> np.ndarray:
-    """Gradient of the softmax probability of ``target_class`` w.r.t. the input.
-
-    Runs in inference mode, so per-sample gradients are independent of the
-    rest of the batch. Output has the same shape as ``x``.
-    """
-    grad, _ = input_gradient_with_probs(model, x, target_class)
-    return grad
 
 
 def input_gradient_with_probs(model: Network, x: np.ndarray,
                               target_class: int) -> tuple[np.ndarray, np.ndarray]:
-    """One tracked forward pass returning both the input gradient and the probabilities."""
+    """Gradient of the softmax probability of ``target_class`` w.r.t. the input,
+    and the probabilities, from one tracked forward pass.
+
+    Runs in inference mode, so per-sample gradients are independent of the
+    rest of the batch. The gradient has the same shape as ``x``.
+    """
     xt = Tensor(np.asarray(x), requires_grad=True)
     logits = model.forward(xt, training=False)
     num_classes = logits.data.shape[1]
@@ -370,19 +344,39 @@ class Adam:
             p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
 
 
-def train_step(model: Network, batch, loss_fn, optimizer: Adam) -> float:
-    """One optimization step; aborts with diagnostics on a non-finite loss."""
-    optimizer.zero_grad()
-    out = model.forward(_as_input(batch), training=True)
-    loss = loss_fn(out)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise TrainingDivergedError(
-            f"non-finite loss {value} at step {optimizer.t + 1} "
-            f"(architecture={model.architecture}, lr={optimizer.lr})")
-    loss.backward()
-    optimizer.step()
-    return value
+def fit(model: Network, n: int, batch_loss, config, end_epoch=None) -> Network:
+    """Adam over shuffled mini-batches of ``n`` rows; one log entry per epoch.
+
+    ``config`` supplies ``epochs``, ``batch_size``, ``lr`` and ``seed``; each
+    epoch draws one permutation of ``range(n)`` from ``default_rng(seed)``.
+    ``batch_loss(idx)`` returns the scalar loss Tensor of the rows ``idx``.
+    ``end_epoch(entry)``, if given, adds fields to the epoch's log entry
+    (``epoch`` and mean ``loss``) and returns True to stop after that epoch.
+    Aborts with diagnostics on a non-finite loss.
+    """
+    batch_size = min(config.batch_size, n)
+    rng = np.random.default_rng(config.seed)
+    opt = Adam(model.parameters(), lr=config.lr)
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            opt.zero_grad()
+            loss = batch_loss(perm[start : start + batch_size])
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDivergedError(
+                    f"non-finite loss {value} in epoch {epoch} "
+                    f"(architecture={model.architecture}, lr={config.lr})")
+            loss.backward()
+            opt.step()
+            losses.append(value)
+        entry = {"epoch": epoch, "loss": float(np.mean(losses))}
+        stop = end_epoch is not None and end_epoch(entry)
+        model.training_log.append(entry)
+        if stop:
+            break
+    return model
 
 
 def save_model(model: Network, path: str | os.PathLike) -> None:
@@ -409,6 +403,10 @@ def load_model(path: str | os.PathLike) -> Network:
             raise ValueError(f"unsupported model format {meta.get('format_version')!r}")
         layers = []
         for i, spec in enumerate(meta["layers"]):
+            if i == 0 and spec["kind"] == "concat":
+                # generators saved while the GATN joined [x, x_tilde] itself;
+                # the layer held no state, and arrays keep their file index
+                continue
             layer = layer_from_spec(spec)
             state = {}
             for name in layer.state():

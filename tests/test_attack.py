@@ -135,16 +135,15 @@ class TestGATNLoss:
         x = rng.normal(size=(2, 16))
         x_tilde = rng.normal(size=(2, 16))
         y_clean = rng.dirichlet(np.ones(2), size=2)
+        joined = np.concatenate([x, x_tilde], axis=1)
 
         def loss_value():
-            x_hat = gatn.forward((Tensor(x), Tensor(x_tilde)), training=True)
+            x_hat = gatn.forward(Tensor(joined), training=True)
             y_adv = ad.softmax(surrogate.forward(
                 ad.reshape(x_hat, (2, 1, 16)), training=False), axis=1)
             return gatn_loss(x, x_hat, y_clean, y_adv, config)
 
-        loss = loss_value()
-        gatn.zero_grad()
-        loss.backward()
+        loss_value().backward()
         eps = 1e-5
         for p in gatn.parameters():
             flat = p.data.reshape(-1)
@@ -287,19 +286,37 @@ class TestBetaGridSearch:
         assert len(runs) == len(BETA_GRID)
         assert calls == [eval_split.values.shape]
 
-    def test_tie_break_prefers_smaller_mse(self):
-        # synthetic reports: equal counts, different MSE
+    def test_tie_break_prefers_smaller_mse(self, eval_split, monkeypatch):
+        """beta_grid_search's own key: most adversaries, then smaller MSE, then smaller beta."""
+        from types import SimpleNamespace
+
+        import tsadv.attack as attack_module
+        import tsadv.evaluate as evaluate_module
         from tsadv.evaluate import AttackReport
 
-        reports = [
-            AttackReport(dataset="d", box_mode="white", teacher_kind="fcn", beta=b,
-                         num_adversaries=3, mse_adversaries=m, mse_all=m, split="d_eval",
-                         criterion="labeled", n_evaluated=10)
-            for b, m in zip((1e-1, 1e-2), (0.5, 0.2))
-        ]
-        best = min(range(2), key=lambda i: (-reports[i].num_adversaries,
-                                            reports[i].mse_adversaries, (1e-1, 1e-2)[i]))
-        assert best == 1
+        # beta -> (count, MSE): the 1e-5 run has the smallest MSE but fewer
+        # adversaries; among the rest, 1e-3 has the smallest MSE, 1e-1 the
+        # largest, and 1e-4 is the smallest beta
+        outcome = {1e-1: (3, 0.5), 1e-2: (3, 0.4), 1e-3: (3, 0.1), 1e-4: (3, 0.3),
+                   1e-5: (2, 0.01)}
+
+        def fake_count(teacher, x, x_hat, y_true, *, beta, **kwargs):
+            count, mse = outcome[beta]
+            return AttackReport(dataset="d", box_mode="white", teacher_kind="fcn", beta=beta,
+                                num_adversaries=count, mse_adversaries=mse, mse_all=mse,
+                                split="d_eval", criterion="labeled", n_evaluated=10)
+
+        monkeypatch.setattr(attack_module, "train_gatn", lambda run, x, signal=None: run)
+        monkeypatch.setattr(attack_module, "generate", lambda run, x, signal=None: x)
+        monkeypatch.setattr(evaluate_module, "count_adversaries_labeled", fake_count)
+        teacher = SimpleNamespace(predict_labels=lambda x: np.zeros(len(x), dtype=np.int64))
+        teacher_net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
+                                                   architecture="fcn"))
+        _, reports, best = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
+                                            teacher_model=teacher_net)
+        assert [(r.num_adversaries, r.mse_adversaries) for r in reports] == [
+            outcome[b] for b in BETA_GRID]
+        assert BETA_GRID[best] == 1e-3
 
 
 class TestBlackBoxHygiene:

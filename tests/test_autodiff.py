@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,12 @@ from tsadv.nn import (
     ReLU,
     TrainingDivergedError,
     cross_entropy,
-    input_gradient,
+    fit,
+    input_gradient_with_probs,
     l2,
     load_model,
     predict,
     save_model,
-    train_step,
 )
 
 EPS = 1e-4
@@ -331,14 +333,14 @@ class TestInputGradient:
     def test_constant_logits_give_zero_gradient(self):
         net = self._tiny_net()
         net.layers[1].w.data[:] = 0.0
-        g = input_gradient(net, np.random.default_rng(0).normal(size=(2, 1, 6)), 1)
+        g, _ = input_gradient_with_probs(net, np.random.default_rng(0).normal(size=(2, 1, 6)), 1)
         assert np.abs(g).max() == 0.0
 
     def test_matches_finite_differences(self):
         net = self._tiny_net()
         rng = np.random.default_rng(41)
         x = rng.normal(size=(2, 1, 6))
-        g = input_gradient(net, x, 2)
+        g, _ = input_gradient_with_probs(net, x, 2)
 
         def f_t(xv):
             _, probs = predict(net, xv)
@@ -370,13 +372,13 @@ class TestInputGradient:
         net = self._tiny_net()
         rng = np.random.default_rng(42)
         x = rng.normal(size=(3, 1, 6))
-        total = sum(input_gradient(net, x, t) for t in range(3))
+        total = sum(input_gradient_with_probs(net, x, t)[0] for t in range(3))
         assert np.abs(total).max() < 1e-7
 
     def test_target_out_of_range(self):
         net = self._tiny_net()
         with pytest.raises(ValueError, match="out of range"):
-            input_gradient(net, np.zeros((1, 1, 6)), 3)
+            input_gradient_with_probs(net, np.zeros((1, 1, 6)), 3)
 
     @pytest.mark.parametrize("architecture", ["fcn", "lenet5"])
     def test_frozen_parameters_get_no_gradient(self, architecture):
@@ -389,55 +391,96 @@ class TestInputGradient:
         frozen, tracked_net = build(config), build(config)
         frozen.set_requires_grad(False)
         x = np.random.default_rng(44).normal(size=(5, 1, 20)).astype(np.float32)
-        g_frozen = input_gradient(frozen, x, 1)
-        g_tracked = input_gradient(tracked_net, x, 1)
+        g_frozen, _ = input_gradient_with_probs(frozen, x, 1)
+        g_tracked, _ = input_gradient_with_probs(tracked_net, x, 1)
         assert all(p.grad is None for p in frozen.parameters())
         assert all(p.grad is not None for p in tracked_net.parameters())
         assert np.array_equal(g_frozen, g_tracked)
 
 
 class TestTrainStep:
-    def _problem(self, lr):
+    """Training steps through nn.fit, the one optimizer loop."""
+
+    def _problem(self):
         rng = np.random.default_rng(50)
         x = np.vstack([rng.normal(-2.0, 0.5, size=(40, 2)), rng.normal(2.0, 0.5, size=(40, 2))])
         y = np.zeros((80, 2))
         y[:40, 0] = 1.0
         y[40:, 1] = 1.0
-        dense = Dense(2, 2, rng=rng, dtype=np.float64)
-        net = Network([dense], rng_seed=50)
-        opt = Adam(net.parameters(), lr=lr)
-        return net, opt, x.astype(np.float64), y
+        net = Network([Dense(2, 2, rng=rng, dtype=np.float64)], rng_seed=50)
+        return net, x, y
+
+    @staticmethod
+    def _fit(net, x, y, epochs, lr, batch_size=80, end_epoch=None, seen=None):
+        def batch_loss(idx):
+            if seen is not None:
+                seen.append(idx.copy())
+            out = net.forward(Tensor(x[idx]), training=True)
+            return cross_entropy(y[idx], ad.softmax(out, axis=1))
+
+        config = SimpleNamespace(epochs=epochs, batch_size=batch_size, lr=lr, seed=3)
+        return fit(net, len(x), batch_loss, config, end_epoch)
 
     def test_converges_on_separable_data(self):
-        net, opt, x, y = self._problem(lr=1e-2)
-        for _ in range(200):
-            train_step(net, x, lambda out: cross_entropy(y, ad.softmax(out, axis=1)), opt)
+        net, x, y = self._problem()
+        self._fit(net, x, y, epochs=200, lr=1e-2)
         _, probs = predict(net, x)
         assert (np.argmax(probs, axis=1) == np.argmax(y, axis=1)).mean() == 1.0
+        assert len(net.training_log) == 200
+        assert net.training_log[-1]["loss"] < net.training_log[0]["loss"]
 
     def test_zero_learning_rate_freezes_parameters(self):
-        net, opt, x, y = self._problem(lr=0.0)
+        net, x, y = self._problem()
         before = [p.data.copy() for p in net.parameters()]
-        for _ in range(5):
-            train_step(net, x, lambda out: cross_entropy(y, ad.softmax(out, axis=1)), opt)
+        self._fit(net, x, y, epochs=5, lr=0.0)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p.data, b)
 
     def test_same_seed_identical_parameters(self):
         runs = []
         for _ in range(2):
-            net, opt, x, y = self._problem(lr=1e-2)
-            for _ in range(20):
-                train_step(net, x, lambda out: cross_entropy(y, ad.softmax(out, axis=1)), opt)
-            runs.append(net.state_hash())
+            net, x, y = self._problem()
+            self._fit(net, x, y, epochs=20, lr=1e-2, batch_size=16)
+            runs.append((net.state_hash(), net.training_log))
         assert runs[0] == runs[1]
 
     def test_divergence_aborts(self):
-        net, opt, x, y = self._problem(lr=1e-2)
-        bad = x.copy()
-        bad[0, 0] = np.nan
+        net, x, y = self._problem()
+        x[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="non-finite"):
-            train_step(net, bad, lambda out: cross_entropy(y, ad.softmax(out, axis=1)), opt)
+            self._fit(net, x, y, epochs=1, lr=1e-2)
+
+    def test_batches_follow_one_seeded_permutation_per_epoch(self):
+        """The trainers' RNG contract: default_rng(seed), one permutation(n)
+        per epoch, batches of min(batch_size, n) rows in order."""
+        net, x, y = self._problem()
+        seen = []
+        self._fit(net, x, y, epochs=3, lr=1e-2, batch_size=32, seen=seen)
+        rng = np.random.default_rng(3)
+        expected = []
+        for _ in range(3):
+            perm = rng.permutation(80)
+            expected += [perm[:32], perm[32:64], perm[64:]]
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+        seen.clear()
+        self._fit(net, x, y, epochs=1, lr=1e-2, batch_size=500, seen=seen)
+        assert len(seen) == 1 and sorted(seen[0]) == list(range(80))
+
+    def test_end_epoch_stop_logs_that_epoch(self):
+        net, x, y = self._problem()
+        entries = []
+
+        def end_epoch(entry):
+            entry["tag"] = entry["epoch"] * 10
+            entries.append(entry)
+            return entry["epoch"] == 2
+
+        self._fit(net, x, y, epochs=10, lr=1e-2, end_epoch=end_epoch)
+        assert [e["epoch"] for e in net.training_log] == [0, 1, 2]
+        assert net.training_log == entries
+        assert net.training_log[-1]["tag"] == 20
+        assert set(net.training_log[0]) == {"epoch", "loss", "tag"}
 
 
 class TestForwardPurityAndSerialization:

@@ -57,6 +57,16 @@ class TestPipeline:
         assert "up to date" in capsys.readouterr().out
         assert open(path, "rb").read() == before
 
+    def test_evaluate_rewrites_deleted_reports(self, white_fcn_run, capsys):
+        """A stage whose manifest matches but whose files are gone is not up to date."""
+        path = os.path.join(white_fcn_run, "reports", "reports.json")
+        before = open(path, "rb").read()
+        os.remove(path)
+        capsys.readouterr()
+        assert run("evaluate", "--out", white_fcn_run) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert open(path, "rb").read() == before
+
     def test_changed_config_retrains(self, white_fcn_run, capsys):
         assert run("attack", "--out", white_fcn_run, "--box", "white", "--teacher", "fcn",
                    "--beta", "1e-2", "--epochs", "2") == 0
@@ -135,6 +145,26 @@ class TestBlackBoxProvenance:
         capsys.readouterr()
         assert run(*attack) == 0
         assert "up to date" not in capsys.readouterr().out
+
+
+    def test_black_box_stages_reject_soft_student(self, tmp_path, capsys):
+        """attack and evaluate --box black refuse a student distilled from probabilities."""
+        out = str(tmp_path / "bb")
+        attack = ("attack", "--out", out, "--box", "black", "--teacher", "dtw1nn",
+                  "--beta", "1e-3", "--epochs", "1")
+        assert run("prepare", "--out", out, "--synthetic") == 0
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        assert run("distill", "--out", out, "--box", "white", "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run(*attack) == 1
+        assert "distill --box black" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "attack", "manifest.json"))
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
+        assert run(*attack) == 0
+        assert run("distill", "--out", out, "--box", "white", "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        assert "distill --box black" in capsys.readouterr().err
 
 
 class TestConfigFile:

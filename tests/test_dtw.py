@@ -5,11 +5,8 @@ from tsadv.data import Dataset, TimeSeries
 from tsadv.dtw import (
     DistanceMatrix,
     dtw_distance,
-    dtw_distance_matrix,
     dtw_pairwise,
-    load_distance_matrix,
     nn1_classify,
-    save_distance_matrix,
     soft_1nn,
 )
 
@@ -93,13 +90,12 @@ class TestDistanceMatrix:
     def test_zero_diagonal_when_eval_is_ref(self):
         rng = np.random.default_rng(2)
         ds = dataset_from_matrix(rng.normal(size=(5, 6)), labels=np.zeros(5))
-        dm = dtw_distance_matrix(ds, ds)
+        dm = DistanceMatrix(values=dtw_pairwise(ds.values, ds.values), train_labels=ds.labels)
         assert np.array_equal(np.diag(dm.values), np.zeros(5))
 
     def test_single_pair(self):
         q, c = [1.0, 2.0], [2.0, 4.0]
-        dm = dtw_distance_matrix(dataset_from_matrix([q]), dataset_from_matrix([c]))
-        assert dm.values[0, 0] == dtw_distance(q, c)
+        assert dtw_pairwise(np.array([q]), np.array([c]))[0, 0] == dtw_distance(q, c)
 
     def test_entries_match_scalar_calls(self):
         rng = np.random.default_rng(3)
@@ -123,15 +119,6 @@ class TestDistanceMatrix:
             DistanceMatrix(values=np.array([[-1.0]]), train_labels=np.array([0]))
         with pytest.raises(ValueError, match="columns"):
             DistanceMatrix(values=np.zeros((2, 3)), train_labels=np.array([0, 1]))
-
-    def test_cache_roundtrip(self, tmp_path):
-        dm = DistanceMatrix(values=np.array([[0.5, 1.5], [2.0, 0.25]]),
-                            train_labels=np.array([0, 1]))
-        path = tmp_path / "dm.npz"
-        save_distance_matrix(dm, path)
-        back = load_distance_matrix(path)
-        assert np.array_equal(back.values, dm.values)
-        assert np.array_equal(back.train_labels, dm.train_labels)
 
 
 class TestNN1:

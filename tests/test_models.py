@@ -13,7 +13,7 @@ from tsadv.models import (
 )
 from tsadv.autodiff import Tensor
 from tsadv.data import Dataset, TimeSeries
-from tsadv.nn import predict
+from tsadv.nn import load_model, predict
 from tsadv.synthetic import make_bump_dataset
 
 
@@ -101,7 +101,7 @@ class TestGATN:
         net = build_gatn(cfg(architecture="gatn", input_length=50))
         x = np.random.default_rng(2).normal(size=(3, 50)).astype(np.float32)
         g = np.random.default_rng(3).normal(size=(3, 50)).astype(np.float32)
-        out = net.forward((Tensor(x), Tensor(g)), training=False)
+        out = net.forward(Tensor(np.concatenate([x, g], axis=1)), training=False)
         assert out.data.shape == (3, 50)
         assert np.isfinite(out.data).all()
 
@@ -117,13 +117,36 @@ class TestGATN:
         x = rng.normal(size=(1, 20)).astype(np.float32)
         g1 = rng.normal(size=(1, 20)).astype(np.float32)
         g2 = g1 + rng.normal(0, 0.5, size=(1, 20)).astype(np.float32)
-        out1 = net.forward((Tensor(x), Tensor(g1)), training=False).data
-        out2 = net.forward((Tensor(x), Tensor(g2)), training=False).data
+        out1 = net.forward(Tensor(np.concatenate([x, g1], axis=1)), training=False).data
+        out2 = net.forward(Tensor(np.concatenate([x, g2], axis=1)), training=False).data
         assert np.abs(out1 - out2).max() > 0
 
     def test_empty_hidden_rejected(self):
         with pytest.raises(ValueError, match="hidden"):
             build_gatn(cfg(architecture="gatn", gatn_hidden_units=()))
+
+    def test_loads_file_with_leading_concat_layer(self, tmp_path):
+        """Generator files saved while the GATN joined [x, x_tilde] with a
+        stateless leading concat layer still load, with the same parameters."""
+        import json
+
+        net = build_gatn(cfg(architecture="gatn", input_length=20, seed=5))
+        net.training_log.append({"epoch": 0, "loss": 0.5})
+        # that file layout: a concat spec first, so dense arrays start at layer1
+        meta = {"format_version": 1, "architecture": "gatn", "rng_seed": 5,
+                "layers": [{"kind": "concat"}] + [layer.spec() for layer in net.layers],
+                "training_log": net.training_log}
+        arrays = {f"layer{i + 1}.{name}": arr for i, layer in enumerate(net.layers)
+                  for name, arr in layer.state().items()}
+        path = tmp_path / "gatn_beta_1e-02.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                 **arrays)
+        back = load_model(path)
+        assert [layer.kind for layer in back.layers] == [layer.kind for layer in net.layers]
+        assert back.state_hash() == net.state_hash()
+        assert back.training_log == net.training_log
+        joined = np.random.default_rng(6).normal(size=(4, 40)).astype(np.float32)
+        assert np.array_equal(back.forward(Tensor(joined)).data, net.forward(Tensor(joined)).data)
 
 
 class TestTrainClassifier:
