@@ -47,6 +47,8 @@ class AttackConfig:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.target_class < 0:
             raise ValueError("target_class must be >= 0")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 @dataclass

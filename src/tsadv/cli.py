@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -258,7 +259,8 @@ def cmd_distill(args) -> int:
     fidelity = student.training_log[-1]["best_fidelity"]
     _write_json(os.path.join(stage, "manifest.json"),
                 {"config_hash": cfg_hash, "config": cfg, "mode": mode,
-                 "fidelity": fidelity, "state_hash": student.state_hash()})
+                 "fidelity": fidelity, "state_hash": student.state_hash(),
+                 "teacher_calls": dict(teacher.calls)})
     _echo_config(out, "student", cfg)
     print(f"[distill] student fidelity {fidelity:.3f} ({mode} targets)")
     return 0
@@ -296,6 +298,9 @@ def cmd_attack(args) -> int:
             f"teacher stage trained {teacher_manifest['teacher_kind']!r}; rerun train-teacher "
             f"for {args.teacher!r}")
     betas = list(BETA_GRID) if args.beta_grid else [args.beta]
+    base = AttackConfig(box_mode=args.box, teacher_kind=args.teacher, alpha=args.alpha,
+                        beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
+                        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
     cfg = {"box": args.box, "teacher": args.teacher, "alpha": args.alpha, "betas": betas,
            "target_class": args.target_class, "seed_gatn": args.seed_gatn,
            "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
@@ -308,9 +313,6 @@ def cmd_attack(args) -> int:
     stage = _stage_dir(out, "attack")
     teacher, teacher_model, student = _surrogate_for(out, args.box, args.teacher, "attack")
     d_eval = _load_split(out, "d_eval", "attack")
-    base = AttackConfig(box_mode=args.box, teacher_kind=args.teacher, alpha=args.alpha,
-                        beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
-                        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
     provenance = {"dataset": d_eval.name, "out": out}
     runs, reports, best = beta_grid_search(base, d_eval, teacher, teacher_model=teacher_model,
                                            student=student, betas=tuple(betas),
@@ -431,11 +433,17 @@ def cmd_report(args) -> int:
 
 
 def _batch_worker(job) -> tuple[str, int]:
+    """Run one dataset's stages; any error fails that dataset alone."""
     dataset, argv_per_stage = job
-    for argv in argv_per_stage:
-        code = main(argv)
-        if code != 0:
-            return dataset, code
+    try:
+        for argv in argv_per_stage:
+            code = main(argv)
+            if code != 0:
+                return dataset, code
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: {dataset}: {exc}", file=sys.stderr)
+        return dataset, 1
     return dataset, 0
 
 

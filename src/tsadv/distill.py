@@ -83,6 +83,8 @@ class DistillConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
     @classmethod
     def for_box_mode(cls, box_mode: str, **kwargs) -> "DistillConfig":

@@ -2,8 +2,8 @@
 
 Both teachers expose hard labels and a probability distribution, and count
 their own calls so tests can prove which information an attack consumed.
-The DTW teacher memoizes distance matrices by input content because they
-dominate runtime.
+The DTW teacher memoizes distance matrices by input content, so a repeated
+query costs no DTW.
 """
 
 from __future__ import annotations

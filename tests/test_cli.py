@@ -167,6 +167,39 @@ class TestBlackBoxProvenance:
         assert "distill --box black" in capsys.readouterr().err
 
 
+class TestInvalidTrainingFlags:
+    """Zero epochs or batch size is refused with an error line, before any work."""
+
+    @pytest.fixture
+    def dtw_run(self, tmp_path):
+        out = str(tmp_path / "bb")
+        assert run("prepare", "--out", out, "--synthetic") == 0
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        return out
+
+    def test_distill_zero_epochs(self, dtw_run, capsys):
+        capsys.readouterr()
+        assert run("distill", "--out", dtw_run, "--box", "black", "--epochs", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epochs and batch_size must be >= 1" in err
+        assert not os.path.exists(os.path.join(dtw_run, "student", "manifest.json"))
+
+    def test_attack_zero_batch_size(self, dtw_run, capsys):
+        assert run("distill", "--out", dtw_run, "--box", "black", "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run("attack", "--out", dtw_run, "--box", "black", "--teacher", "dtw1nn",
+                   "--beta", "1e-3", "--epochs", "1", "--batch-size", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epochs and batch_size must be >= 1" in err
+        assert not os.path.exists(os.path.join(dtw_run, "attack"))
+
+    def test_black_box_distill_records_teacher_calls(self, dtw_run):
+        assert run("distill", "--out", dtw_run, "--box", "black", "--epochs", "1") == 0
+        manifest = json.load(open(os.path.join(dtw_run, "student", "manifest.json")))
+        # one hard-label query over d_eval; never probabilities
+        assert manifest["teacher_calls"] == {"predict_labels": 1, "predict_proba": 0}
+
+
 class TestConfigFile:
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -225,15 +258,20 @@ def four_runs(tmp_path_factory):
     return outs
 
 
+def write_two_power_datasets(tmp_path, monkeypatch):
+    """Archive root with small PowerA and PowerB datasets, set as the env root."""
+    root = tmp_path / "archive"
+    for name, seed in (("PowerA", 3), ("PowerB", 4)):
+        ds_dir = root / name
+        ds_dir.mkdir(parents=True)
+        write_power_profile_archive(ds_dir / f"{name}_TRAIN.tsv", ds_dir / f"{name}_TEST.tsv",
+                                    n_train=12, n_test=24, length=24, seed=seed)
+    monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
+
+
 class TestBatch:
     def test_two_dataset_batch_produces_report(self, tmp_path, monkeypatch):
-        root = tmp_path / "archive"
-        for name, seed in (("PowerA", 3), ("PowerB", 4)):
-            ds_dir = root / name
-            ds_dir.mkdir(parents=True)
-            write_power_profile_archive(ds_dir / f"{name}_TRAIN.tsv", ds_dir / f"{name}_TEST.tsv",
-                                        n_train=12, n_test=24, length=24, seed=seed)
-        monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
+        write_two_power_datasets(tmp_path, monkeypatch)
         out_root = str(tmp_path / "runs")
         assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
                    "--datasets", "PowerA,PowerB", "--teacher-epochs", "30", "--epochs", "3") == 0
@@ -255,13 +293,7 @@ class TestBatch:
             return train_classifier(model, dataset, hyper)
 
         monkeypatch.setattr(cli, "train_classifier", diverge_on_power_b)
-        root = tmp_path / "archive"
-        for name, seed in (("PowerA", 3), ("PowerB", 4)):
-            ds_dir = root / name
-            ds_dir.mkdir(parents=True)
-            write_power_profile_archive(ds_dir / f"{name}_TRAIN.tsv", ds_dir / f"{name}_TEST.tsv",
-                                        n_train=12, n_test=24, length=24, seed=seed)
-        monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
+        write_two_power_datasets(tmp_path, monkeypatch)
         single = str(tmp_path / "single")
         assert run("prepare", "--out", single, "--dataset", "PowerB") == 0
         assert run("train-teacher", "--out", single, "--teacher", "fcn", "--epochs", "1") == 1
@@ -273,6 +305,26 @@ class TestBatch:
         assert "PowerB" in capsys.readouterr().err
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
         assert {r["dataset"] for r in report["reports"]} == {"PowerA"}
+
+    def test_unexpected_error_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
+        import tsadv.cli as cli
+
+        train_classifier = cli.train_classifier
+
+        def crash_on_power_a(model, dataset, hyper):
+            if dataset.name == "PowerA":
+                raise RuntimeError("disk on fire")
+            return train_classifier(model, dataset, hyper)
+
+        monkeypatch.setattr(cli, "train_classifier", crash_on_power_a)
+        write_two_power_datasets(tmp_path, monkeypatch)
+        out_root = str(tmp_path / "runs")
+        assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
+                   "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert "error: PowerA: disk on fire" in err
+        report = json.load(open(os.path.join(out_root, "report", "report.json")))
+        assert {r["dataset"] for r in report["reports"]} == {"PowerB"}
 
     def test_failed_dataset_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TSADV_UCR_ROOT", str(tmp_path / "nowhere"))

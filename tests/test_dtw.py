@@ -36,6 +36,36 @@ def enumerate_paths_min_cost(q, c):
     return np.sqrt(best[0])
 
 
+def row_by_row_distance(q, c):
+    """Oracle: the row-by-row recurrence in plain Python floats.
+
+    Row 0 is the running sum of costs along c; each later row i starts from
+    the cell above and then takes cost + min(up, diagonal, left) left to
+    right. The square root is taken once, of the final cell. Costs are
+    d * d: Python's d ** 2 goes through pow(), which is not always
+    correctly rounded.
+    """
+    def cost(a, b):
+        d = float(a) - float(b)
+        return d * d
+
+    prev = []
+    total = 0.0
+    for cj in c:
+        total += cost(q[0], cj)
+        prev.append(total)
+    for qi in q[1:]:
+        cur = [prev[0] + cost(qi, c[0])]
+        for j in range(1, len(c)):
+            cur.append(cost(qi, c[j]) + min(prev[j], prev[j - 1], cur[j - 1]))
+        prev = cur
+    return np.sqrt(prev[-1])
+
+
+def row_by_row_matrix(ev, ref):
+    return np.array([[row_by_row_distance(q, c) for c in ref] for q in ev])
+
+
 def dataset_from_matrix(values, labels=None):
     series = tuple(
         TimeSeries(values=v, label=int(labels[i]) if labels is not None else 0, source_id=i)
@@ -113,6 +143,35 @@ class TestDistanceMatrix:
         seq = dtw_pairwise(ev, ref, processes=None)
         par = dtw_pairwise(ev, ref, processes=2)
         assert np.array_equal(seq, par)
+
+    @pytest.mark.parametrize("n, m, t, u", [
+        (3, 4, 1, 1),      # T = 1
+        (5, 6, 7, 1),      # U = 1
+        (4, 5, 6, 9),      # T < U
+        (4, 5, 11, 3),     # T > U
+        (40, 67, 24, 24),  # several blocks of query rows
+        (3, 1100, 6, 6),   # more references than one block's pairs: one query per block
+    ])
+    def test_bitwise_equal_to_row_by_row_oracle(self, n, m, t, u):
+        rng = np.random.default_rng(n * 1000 + m + t + u)
+        ev = rng.normal(size=(n, t))
+        ref = rng.normal(size=(m, u))
+        assert np.array_equal(dtw_pairwise(ev, ref), row_by_row_matrix(ev, ref))
+
+    def test_duplicated_query_rows_bitwise_equal_to_oracle(self):
+        rng = np.random.default_rng(5)
+        ev = rng.normal(size=(30, 8))
+        ev[[3, 17, 29]] = ev[11]
+        ref = rng.normal(size=(67, 8))
+        got = dtw_pairwise(ev, ref)
+        assert np.array_equal(got, row_by_row_matrix(ev, ref))
+        assert all(np.array_equal(got[i], got[11]) for i in (3, 17, 29))
+
+    def test_processes_bitwise_equal_to_oracle(self):
+        rng = np.random.default_rng(6)
+        ev = rng.normal(size=(40, 10))
+        ref = rng.normal(size=(67, 10))
+        assert np.array_equal(dtw_pairwise(ev, ref, processes=2), row_by_row_matrix(ev, ref))
 
     def test_matrix_invariants_enforced(self):
         with pytest.raises(ValueError, match="nonnegative"):
