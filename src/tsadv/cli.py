@@ -1,19 +1,25 @@
 """Command-line pipeline: prepare -> train-teacher -> distill -> attack ->
 evaluate -> report.
 
-Every stage writes a manifest carrying the hash of its resolved
-configuration; rerunning a completed stage with an unchanged configuration
-is a no-op. Flags override config-file values, and the fully resolved
+Every stage is run by :func:`_run_stage`: it is built beside its final
+directory and swapped in whole once its manifest is written. The manifest
+carries the hash of the stage's resolved configuration and lists the stage's
+files; rerunning a stage with an unchanged configuration and all its files
+present is a no-op. Stages written before manifests listed their files rerun
+once. Flags override config-file values, and the fully resolved
 configuration is echoed into the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import sys
 import traceback
+from collections.abc import Callable
 
 import numpy as np
 
@@ -66,12 +72,6 @@ class MissingArtifactError(FileNotFoundError):
     pass
 
 
-def _stage_dir(out: str, stage: str) -> str:
-    path = os.path.join(out, stage)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -95,22 +95,43 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
     return _read_json(path)
 
 
-def _stage_is_current(out: str, stage: str, cfg_hash: str, files: list[str]) -> bool:
-    """True when the stage's manifest carries ``cfg_hash`` and every file in
-    ``files``, the artifacts the stage writes beside it, still exists."""
-    path = os.path.join(out, stage, "manifest.json")
-    if (os.path.exists(path) and _read_json(path).get("config_hash") == cfg_hash
-            and all(os.path.exists(os.path.join(out, stage, f)) for f in files)):
-        print(f"[{stage}] up to date (config {cfg_hash}), skipping")
-        return True
-    return False
+def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) -> None:
+    """Run one stage into ``out/<stage>`` unless it is up to date for ``cfg``.
 
-
-def _echo_config(out: str, stage: str, cfg: dict) -> None:
+    ``write(path)`` writes the stage's files into ``path`` and returns the
+    stage's own manifest fields. The stage is built in ``out/.<stage>.partial``
+    and replaces ``out/<stage>`` only once its manifest is written.
+    """
+    cfg_hash = config_hash(cfg)
+    final = os.path.join(out, stage)
+    manifest_path = os.path.join(final, "manifest.json")
+    if os.path.exists(manifest_path):
+        manifest = _read_json(manifest_path)
+        if (manifest.get("config_hash") == cfg_hash and "files" in manifest
+                and all(os.path.exists(os.path.join(final, f)) for f in manifest["files"])):
+            print(f"[{stage}] up to date (config {cfg_hash}), skipping")
+            return
+    partial = os.path.join(out, f".{stage}.partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    os.makedirs(partial)
+    try:
+        fields = write(partial)
+        _write_json(os.path.join(partial, "manifest.json"),
+                    {**fields, "config_hash": cfg_hash, "config": cfg,
+                     "files": sorted(os.listdir(partial))})
+        shutil.rmtree(final, ignore_errors=True)
+        os.rename(partial, final)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
     path = os.path.join(out, "config.json")
-    merged = _read_json(path) if os.path.exists(path) else {}
-    merged[stage] = cfg
-    _write_json(path, merged)
+    echoed = _read_json(path) if os.path.exists(path) else {}
+    echoed[stage] = cfg
+    _write_json(path, echoed)
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _resolve_files(args) -> tuple[str, str]:
@@ -127,7 +148,6 @@ def _resolve_files(args) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> int:
-    out = args.out
     if args.synthetic:
         teacher_train = make_bump_dataset(n_per_class=32, length=32, seed=args.seed_split + 100,
                                           name="bumps-train")
@@ -147,35 +167,33 @@ def cmd_prepare(args) -> int:
         teacher_train = preprocess_dataset(teacher_train, target_len, znorm=args.znorm)
         pool = preprocess_dataset(pool, target_len, znorm=args.znorm)
         dataset_name = os.path.basename(args.dataset or os.path.dirname(train_file) or "dataset")
+    # the files' bytes too: data rewritten in place must not look current
     cfg = {"dataset": dataset_name, "seed_split": args.seed_split, "znorm": args.znorm,
            "synthetic": args.synthetic, "length": teacher_train.length,
-           "files": None if args.synthetic else [os.path.abspath(train_file),
-                                                 os.path.abspath(test_file)]}
-    cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "prepare", cfg_hash, ["teacher_train.tsv", "d_eval.tsv", "d_test.tsv"]):
-        return 0
-    split = stratified_split(pool, seed=args.seed_split)
-    stage = _stage_dir(out, "prepare")
-    save_ucr(teacher_train, os.path.join(stage, "teacher_train.tsv"))
-    save_ucr(split.d_eval, os.path.join(stage, "d_eval.tsv"))
-    save_ucr(split.d_test, os.path.join(stage, "d_test.tsv"))
+           "files": None if args.synthetic else [
+               {"path": os.path.abspath(path), "sha256": _file_sha256(path)}
+               for path in (train_file, test_file)]}
 
     def class_counts(ds: Dataset) -> dict:
         return {int(c): int(n) for c, n in zip(*np.unique(ds.labels, return_counts=True))}
 
-    manifest = {
-        "config_hash": cfg_hash, "config": cfg,
-        "num_classes": pool.num_classes,
-        "label_map": {str(k): v for k, v in pool.label_map.items()},
-        "counts": {"teacher_train": len(teacher_train), "d_eval": len(split.d_eval),
-                   "d_test": len(split.d_test)},
-        "class_counts": {"d_eval": class_counts(split.d_eval),
-                         "d_test": class_counts(split.d_test)},
-    }
-    _write_json(os.path.join(stage, "manifest.json"), manifest)
-    _echo_config(out, "prepare", cfg)
-    print(f"[prepare] {dataset_name}: train={len(teacher_train)} "
-          f"d_eval={len(split.d_eval)} d_test={len(split.d_test)}")
+    def write(stage: str) -> dict:
+        split = stratified_split(pool, seed=args.seed_split)
+        save_ucr(teacher_train, os.path.join(stage, "teacher_train.tsv"))
+        save_ucr(split.d_eval, os.path.join(stage, "d_eval.tsv"))
+        save_ucr(split.d_test, os.path.join(stage, "d_test.tsv"))
+        print(f"[prepare] {dataset_name}: train={len(teacher_train)} "
+              f"d_eval={len(split.d_eval)} d_test={len(split.d_test)}")
+        return {
+            "num_classes": pool.num_classes,
+            "label_map": {str(k): v for k, v in pool.label_map.items()},
+            "counts": {"teacher_train": len(teacher_train), "d_eval": len(split.d_eval),
+                       "d_test": len(split.d_test)},
+            "class_counts": {"d_eval": class_counts(split.d_eval),
+                             "d_test": class_counts(split.d_test)},
+        }
+
+    _run_stage(args.out, "prepare", cfg, write)
     return 0
 
 
@@ -193,13 +211,13 @@ def cmd_train_teacher(args) -> int:
     cfg = {"teacher": args.teacher, "seed_teacher": args.seed_teacher, "epochs": args.epochs,
            "batch_size": args.batch_size, "lr": args.lr, "early_stop_acc": args.early_stop_acc,
            "prepare": prep["config_hash"]}
-    cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "teacher", cfg_hash, ["fcn.npz"] if args.teacher == "fcn" else []):
-        return 0
-    stage = _stage_dir(out, "teacher")
-    train_set = _load_split(out, "teacher_train", "train-teacher")
-    manifest = {"config_hash": cfg_hash, "config": cfg, "teacher_kind": args.teacher}
-    if args.teacher == "fcn":
+
+    def write(stage: str) -> dict:
+        if args.teacher != "fcn":
+            print(f"[train-teacher] {args.teacher} ready")
+            # the 1-NN DTW teacher *is* its reference set
+            return {"teacher_kind": args.teacher, "reference": "prepare/teacher_train.tsv"}
+        train_set = _load_split(out, "teacher_train", "train-teacher")
         model = build_fcn(ArchitectureConfig(input_length=train_set.length,
                                              num_classes=train_set.num_classes,
                                              architecture="fcn", seed=args.seed_teacher))
@@ -207,16 +225,12 @@ def cmd_train_teacher(args) -> int:
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
             seed=args.seed_teacher, early_stop_acc=args.early_stop_acc))
         save_model(model, os.path.join(stage, "fcn.npz"))
-        manifest["train_accuracy"] = model.training_log[-1]["accuracy"]
-        manifest["epochs_run"] = len(model.training_log)
-        manifest["state_hash"] = model.state_hash()
-    else:
-        # the 1-NN DTW teacher *is* its reference set
-        manifest["reference"] = "prepare/teacher_train.tsv"
-    _write_json(os.path.join(stage, "manifest.json"), manifest)
-    _echo_config(out, "teacher", cfg)
-    print(f"[train-teacher] {args.teacher} ready"
-          + (f", train acc {manifest.get('train_accuracy'):.3f}" if args.teacher == "fcn" else ""))
+        accuracy = model.training_log[-1]["accuracy"]
+        print(f"[train-teacher] {args.teacher} ready, train acc {accuracy:.3f}")
+        return {"teacher_kind": args.teacher, "train_accuracy": accuracy,
+                "epochs_run": len(model.training_log), "state_hash": model.state_hash()}
+
+    _run_stage(out, "teacher", cfg, write)
     return 0
 
 
@@ -240,29 +254,26 @@ def cmd_distill(args) -> int:
     cfg = {"box": args.box, "gamma": config.gamma, "tau": args.tau, "epochs": args.epochs,
            "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr,
            "teacher": teacher_manifest["config_hash"]}
-    cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "student", cfg_hash, ["teacher_outputs.npz", "student.npz"]):
-        return 0
-    stage = _stage_dir(out, "student")
-    teacher, _ = _load_teacher(out, "distill")
-    d_eval = _load_split(out, "d_eval", "distill")
-    mode = "soft" if args.box == "white" else "hard"
-    outputs = teacher_outputs(teacher, d_eval.values, mode=mode)
-    np.savez(os.path.join(stage, "teacher_outputs.npz"),
-             mode=np.array(mode), hard_labels=outputs.hard_labels,
-             **({"soft_probs": outputs.soft_probs} if outputs.soft_probs is not None else {}))
-    student = build_lenet5_1d(ArchitectureConfig(
-        input_length=d_eval.length, num_classes=teacher.num_classes,
-        architecture="lenet5", seed=args.seed_student))
-    train_student(student, d_eval.values, outputs, config)
-    save_model(student, os.path.join(stage, "student.npz"))
-    fidelity = student.training_log[-1]["best_fidelity"]
-    _write_json(os.path.join(stage, "manifest.json"),
-                {"config_hash": cfg_hash, "config": cfg, "mode": mode,
-                 "fidelity": fidelity, "state_hash": student.state_hash(),
-                 "teacher_calls": dict(teacher.calls)})
-    _echo_config(out, "student", cfg)
-    print(f"[distill] student fidelity {fidelity:.3f} ({mode} targets)")
+
+    def write(stage: str) -> dict:
+        teacher, _ = _load_teacher(out, "distill")
+        d_eval = _load_split(out, "d_eval", "distill")
+        mode = "soft" if args.box == "white" else "hard"
+        outputs = teacher_outputs(teacher, d_eval.values, mode=mode)
+        np.savez(os.path.join(stage, "teacher_outputs.npz"),
+                 mode=np.array(mode), hard_labels=outputs.hard_labels,
+                 **({"soft_probs": outputs.soft_probs} if outputs.soft_probs is not None else {}))
+        student = build_lenet5_1d(ArchitectureConfig(
+            input_length=d_eval.length, num_classes=teacher.num_classes,
+            architecture="lenet5", seed=args.seed_student))
+        train_student(student, d_eval.values, outputs, config)
+        save_model(student, os.path.join(stage, "student.npz"))
+        fidelity = student.training_log[-1]["best_fidelity"]
+        print(f"[distill] student fidelity {fidelity:.3f} ({mode} targets)")
+        return {"mode": mode, "fidelity": fidelity, "state_hash": student.state_hash(),
+                "teacher_calls": dict(teacher.calls)}
+
+    _run_stage(out, "student", cfg, write)
     return 0
 
 
@@ -306,30 +317,26 @@ def cmd_attack(args) -> int:
            "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
            "teacher_hash": teacher_manifest["config_hash"],
            "student_hash": _student_hash(out, args.box, args.teacher, "attack")}
-    cfg_hash = config_hash(cfg)
-    gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
-    if _stage_is_current(out, "attack", cfg_hash, gatn_files + ["grid_reports.json"]):
-        return 0
-    stage = _stage_dir(out, "attack")
-    teacher, teacher_model, student = _surrogate_for(out, args.box, args.teacher, "attack")
-    d_eval = _load_split(out, "d_eval", "attack")
-    provenance = {"dataset": d_eval.name, "out": out}
-    runs, reports, best = beta_grid_search(base, d_eval, teacher, teacher_model=teacher_model,
-                                           student=student, betas=tuple(betas),
-                                           provenance=provenance)
-    for run, fname in zip(runs, gatn_files):
-        save_model(run.gatn, os.path.join(stage, fname))
-    save_reports_json(reports, os.path.join(stage, "grid_reports.json"), provenance=provenance)
-    _write_json(os.path.join(stage, "manifest.json"), {
-        "config_hash": cfg_hash, "config": cfg, "betas": betas, "gatn_files": gatn_files,
-        "best_index": best, "best_beta": betas[best],
-        "surrogate_is_teacher": runs[best].surrogate_is_teacher,
-        "gatn_state_hashes": [run.gatn.state_hash() for run in runs],
-        "teacher_calls": dict(teacher.calls),
-    })
-    _echo_config(out, "attack", cfg)
-    print(f"[attack] best beta {betas[best]:.0e}: "
-          f"{reports[best].num_adversaries}/{reports[best].n_evaluated} d_eval adversaries")
+
+    def write(stage: str) -> dict:
+        teacher, teacher_model, student = _surrogate_for(out, args.box, args.teacher, "attack")
+        d_eval = _load_split(out, "d_eval", "attack")
+        provenance = {"dataset": d_eval.name, "out": out}
+        runs, reports, best = beta_grid_search(base, d_eval, teacher, teacher_model=teacher_model,
+                                               student=student, betas=tuple(betas),
+                                               provenance=provenance)
+        gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
+        for run, fname in zip(runs, gatn_files):
+            save_model(run.gatn, os.path.join(stage, fname))
+        save_reports_json(reports, os.path.join(stage, "grid_reports.json"), provenance=provenance)
+        print(f"[attack] best beta {betas[best]:.0e}: "
+              f"{reports[best].num_adversaries}/{reports[best].n_evaluated} d_eval adversaries")
+        return {"betas": betas, "gatn_files": gatn_files, "best_index": best,
+                "best_beta": betas[best], "surrogate_is_teacher": runs[best].surrogate_is_teacher,
+                "gatn_state_hashes": [run.gatn.state_hash() for run in runs],
+                "teacher_calls": dict(teacher.calls)}
+
+    _run_stage(out, "attack", cfg, write)
     return 0
 
 
@@ -342,48 +349,42 @@ def cmd_evaluate(args) -> int:
            "teacher_hash": _load_manifest(out, "teacher", "evaluate")["config_hash"],
            "student_hash": _student_hash(out, acfg["box"], acfg["teacher"], "evaluate"),
            "criterion": args.criterion, "all_betas": args.all_betas}
-    cfg_hash = config_hash(cfg)
-    if _stage_is_current(out, "reports", cfg_hash, ["reports.csv", "reports.json"]):
-        return 0
-    teacher, teacher_model, student = _surrogate_for(out, acfg["box"], acfg["teacher"], "evaluate")
-    d_eval = _load_split(out, "d_eval", "evaluate")
-    d_test = _load_split(out, "d_test", "evaluate")
-    betas = attack_manifest["betas"]
-    indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
-    count = count_adversaries_unlabeled if args.criterion == "unlabeled" else count_adversaries_labeled
-    reports = []
-    for i in indices:
-        config = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
-                              alpha=acfg["alpha"], beta=betas[i],
-                              target_class=acfg["target_class"], seed=acfg["seed_gatn"])
-        run = make_attack_run(config, input_length=d_eval.length, teacher_model=teacher_model,
-                              student=student)
-        run.gatn = load_model(os.path.join(out, "attack", attack_manifest["gatn_files"][i]))
-        x = d_eval.values
-        x_hat = generate(run, x)
-        kwargs = dict(dataset=d_eval.name, box_mode=config.box_mode,
-                      teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval")
-        if args.criterion == "unlabeled":
-            reports.append(count(teacher, x, x_hat, **kwargs))
-        else:
-            reports.append(count(teacher, x, x_hat, d_eval.labels, **kwargs))
-        if args.criterion == "labeled":
-            reports.append(generalization_eval(run, teacher, d_test))
-        else:
-            xt = d_test.values
-            xt_hat = generate(run, xt)
-            reports.append(count(teacher, xt, xt_hat, dataset=d_test.name,
-                                 box_mode=config.box_mode, teacher_kind=config.teacher_kind,
-                                 beta=betas[i], split="d_test"))
-    stage = _stage_dir(out, "reports")
-    save_reports_csv(reports, os.path.join(stage, "reports.csv"))
-    save_reports_json(reports, os.path.join(stage, "reports.json"),
-                      provenance={"out": out, "criterion": args.criterion})
-    _write_json(os.path.join(stage, "manifest.json"),
-                {"config_hash": cfg_hash, "config": cfg, "n_reports": len(reports)})
-    for r in reports:
-        print(f"[evaluate] {r.split:7s} beta={r.beta:.0e} criterion={r.criterion}: "
-              f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
+
+    def write(stage: str) -> dict:
+        teacher, teacher_model, student = _surrogate_for(out, acfg["box"], acfg["teacher"],
+                                                         "evaluate")
+        d_eval = _load_split(out, "d_eval", "evaluate")
+        d_test = _load_split(out, "d_test", "evaluate")
+        betas = attack_manifest["betas"]
+        indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
+        reports = []
+        for i in indices:
+            config = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
+                                  alpha=acfg["alpha"], beta=betas[i],
+                                  target_class=acfg["target_class"], seed=acfg["seed_gatn"])
+            run = make_attack_run(config, input_length=d_eval.length,
+                                  teacher_model=teacher_model, student=student)
+            run.gatn = load_model(os.path.join(out, "attack", attack_manifest["gatn_files"][i]))
+            kwargs = dict(dataset=d_eval.name, box_mode=config.box_mode,
+                          teacher_kind=config.teacher_kind, beta=betas[i])
+            if args.criterion == "labeled":
+                x = d_eval.values
+                reports.append(count_adversaries_labeled(teacher, x, generate(run, x),
+                                                         d_eval.labels, split="d_eval", **kwargs))
+                reports.append(generalization_eval(run, teacher, d_test))
+            else:
+                for split, x in (("d_eval", d_eval.values), ("d_test", d_test.values)):
+                    reports.append(count_adversaries_unlabeled(teacher, x, generate(run, x),
+                                                               split=split, **kwargs))
+        save_reports_csv(reports, os.path.join(stage, "reports.csv"))
+        save_reports_json(reports, os.path.join(stage, "reports.json"),
+                          provenance={"out": out, "criterion": args.criterion})
+        for r in reports:
+            print(f"[evaluate] {r.split:7s} beta={r.beta:.0e} criterion={r.criterion}: "
+                  f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
+        return {"n_reports": len(reports)}
+
+    _run_stage(out, "reports", cfg, write)
     return 0
 
 
@@ -492,7 +493,8 @@ def _add_common_train_flags(p, default_epochs: int):
     p.add_argument("--lr", type=float, default=1e-3)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `tsadv` parser, and its subparsers by command name."""
     parser = argparse.ArgumentParser(prog="tsadv",
                                      description="Adversarial attacks on time series classifiers")
     parser.add_argument("--config", help="JSON file of flag defaults (flags override it)")
@@ -568,40 +570,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None,
                    help="datasets run in parallel worker processes")
     p.set_defaults(func=cmd_batch)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, with the ``--config`` file's values as the command's flag defaults.
+
+    A file with a top-level key that names a command holds one section per
+    command, and a command without a section takes no defaults; any other
+    file is the defaults of every command. Flags on the command line win.
+    """
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         defaults = _read_json(args.config)
-        section = defaults.get(args.command, defaults)
-        known = {action.dest for action in parser._actions}
-        for sub_action in (a for a in parser._actions if isinstance(a, argparse._SubParsersAction)):
-            known |= {act.dest for act in sub_action.choices[args.command]._actions}
-        overridden = _explicit_flags(argv)
-        for key, value in section.items():
+        if not commands.keys().isdisjoint(defaults):
+            defaults = defaults.get(args.command, {})
+        for key, value in defaults.items():
             dest = key.replace("-", "_")
-            if dest not in known:
+            if dest not in vars(args) or dest in ("command", "func"):
                 raise ValueError(f"config key {key!r} is not a flag of `tsadv {args.command}`")
-            if dest not in overridden:
-                setattr(args, dest, value)
+            commands[args.command].set_defaults(**{dest: value})
+        args = parser.parse_args(argv)
     return args
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _apply_config_file(parser, argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (MissingArtifactError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

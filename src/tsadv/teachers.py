@@ -2,13 +2,10 @@
 
 Both teachers expose hard labels and a probability distribution, and count
 their own calls so tests can prove which information an attack consumed.
-The DTW teacher memoizes distance matrices by input content, so a repeated
-query costs no DTW.
+The DTW teacher computes one distance matrix per query and keeps none.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -63,33 +60,24 @@ class FCNTeacher(Teacher):
 class DTW1NNTeacher(Teacher):
     kind = "dtw1nn"
 
-    def __init__(self, ref_values: np.ndarray, ref_labels: np.ndarray,
-                 processes: int | None = None):
+    def __init__(self, ref_values: np.ndarray, ref_labels: np.ndarray):
         super().__init__()
         self.ref_values = readonly(np.asarray(ref_values, dtype=np.float64))
         self.ref_labels = readonly(np.asarray(ref_labels, dtype=np.int64))
         if self.ref_values.ndim != 2 or self.ref_labels.shape[0] != self.ref_values.shape[0]:
             raise ValueError("reference values must be [M, T] with one label per row")
-        self.processes = processes
-        self._cache: dict[str, DistanceMatrix] = {}
 
     @classmethod
-    def from_dataset(cls, dataset: Dataset, processes: int | None = None) -> "DTW1NNTeacher":
-        return cls(dataset.values, dataset.labels, processes=processes)
+    def from_dataset(cls, dataset: Dataset) -> "DTW1NNTeacher":
+        return cls(dataset.values, dataset.labels)
 
     @property
     def num_classes(self) -> int:
         return int(self.ref_labels.max()) + 1
 
     def distance_matrix(self, x: np.ndarray) -> DistanceMatrix:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        key = hashlib.sha256(x.tobytes()).hexdigest()
-        if key not in self._cache:
-            values = dtw_pairwise(x, self.ref_values, processes=self.processes)
-            self._cache[key] = DistanceMatrix(values=values, train_labels=self.ref_labels)
-        return self._cache[key]
+        return DistanceMatrix(values=dtw_pairwise(np.atleast_2d(x), self.ref_values),
+                              train_labels=self.ref_labels)
 
     def predict_labels(self, x):
         self.calls["predict_labels"] += 1

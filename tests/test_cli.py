@@ -200,6 +200,34 @@ class TestInvalidTrainingFlags:
         assert manifest["teacher_calls"] == {"predict_labels": 1, "predict_proba": 0}
 
 
+class TestInterruptedStage:
+    def test_interrupted_attack_leaves_completed_stage(self, tmp_path, monkeypatch, capsys):
+        """A stage that dies after writing some artifacts leaves the previous stage whole."""
+        import tsadv.cli as cli
+        from tsadv.nn import load_model
+
+        out = str(tmp_path / "run")
+        attack = ("attack", "--out", out, "--box", "white", "--teacher", "fcn", "--beta", "1e-3")
+        assert run("prepare", "--out", out, "--synthetic") == 0
+        assert run("train-teacher", "--out", out, "--teacher", "fcn", "--epochs", "2") == 0
+        assert run(*attack, "--epochs", "2") == 0
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "save_reports_json", crash)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run(*attack, "--epochs", "3")
+        capsys.readouterr()
+        assert run(*attack, "--epochs", "2") == 0
+        assert "up to date" in capsys.readouterr().out
+        manifest = json.load(open(os.path.join(out, "attack", "manifest.json")))
+        for fname, state_hash in zip(manifest["gatn_files"], manifest["gatn_state_hashes"]):
+            assert load_model(os.path.join(out, "attack", fname)).state_hash() == state_hash
+        assert not os.path.exists(os.path.join(out, ".attack.partial"))
+
+
 class TestConfigFile:
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -208,6 +236,21 @@ class TestConfigFile:
         assert run("--config", str(cfg), "prepare", "--out", out) == 0
         echoed = json.load(open(os.path.join(out, "config.json")))
         assert echoed["prepare"]["seed_split"] == 3
+
+    def test_abbreviated_flag_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prepare": {"synthetic": True, "seed-split": 3}}))
+        out = str(tmp_path / "run")
+        assert run("--config", str(cfg), "prepare", "--out", out, "--seed", "7") == 0
+        echoed = json.load(open(os.path.join(out, "config.json")))
+        assert echoed["prepare"]["seed_split"] == 7
+
+    def test_command_without_section_takes_no_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prepare": {"synthetic": True}, "attack": {"epochs": 1}}))
+        out = str(tmp_path / "run")
+        assert run("--config", str(cfg), "prepare", "--out", out) == 0
+        assert run("--config", str(cfg), "train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -229,6 +272,21 @@ class TestArchiveLayout:
         manifest = json.load(open(os.path.join(out, "prepare", "manifest.json")))
         assert manifest["counts"]["d_eval"] + manifest["counts"]["d_test"] == 24
         assert manifest["label_map"] == {"1": 0, "2": 1}
+
+    def test_rewritten_data_reruns_prepare(self, tmp_path, capsys):
+        train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
+        out = str(tmp_path / "run")
+        prepare = ("prepare", "--out", out, "--train-file", str(train), "--test-file", str(test))
+        write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=5)
+        assert run(*prepare) == 0
+        d_eval = os.path.join(out, "prepare", "d_eval.tsv")
+        before = open(d_eval).read()
+        # new rows at the same paths
+        write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=6)
+        capsys.readouterr()
+        assert run(*prepare) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert open(d_eval).read() != before
 
     def test_missing_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSADV_UCR_ROOT", raising=False)
