@@ -170,11 +170,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    data = np.where(mask, a.data, 0)
+    """Elementwise max(a, 0). As in clamp_min, NaN propagates, with a zero
+    gradient; -0.0 maps to +0.0. The mask ``data > 0`` equals ``a > 0``."""
+    data = np.maximum(a.data, 0)
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (data > 0))
 
     return _node(data, (a,), backward)
 
@@ -292,7 +293,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     if l_out < 1:
         raise ValueError(f"conv1d: input length {L} too short for kernel {K} with valid padding")
     windows = sliding_window_view(xp, K, axis=2)  # [B, Cin, Lout, K]
-    data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True) + b.data[None, :, None]
+    data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True)
+    data += b.data[None, :, None]
 
     def backward(g):
         if _needs_grad(b):
@@ -300,13 +302,51 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
         if _needs_grad(w):
             _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
         if _needs_grad(x):
-            d_windows = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
-            gxp = np.zeros_like(xp)
+            # [Cin, K, B, Lout], the same GEMM as einsum("bol,ock->bclk"); each
+            # k slice scatters into a contiguous [Cin, B, Lp] buffer
+            d_windows = np.tensordot(w.data, g, axes=([0], [1]))
+            gxp = np.zeros((Cin, B, xp.shape[2]), dtype=xp.dtype)
             for k in range(K):
-                gxp[:, :, k : k + l_out] += d_windows[:, :, :, k]
-            _accumulate(x, gxp[:, :, left : left + L])
+                gxp[:, :, k : k + l_out] += d_windows[:, k]
+            _accumulate(x, gxp.transpose(1, 0, 2)[:, :, left : left + L])
 
     return _node(data, (x, w, b), backward)
+
+
+def batchnorm_inference(x: Tensor, mean: np.ndarray, var: np.ndarray, eps: float,
+                        gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-channel ``(x + -mean) * (var + eps) ** -0.5 * gamma + beta`` over x: [B, C, L].
+
+    One node with the operations of the ad composite, in its order, so the
+    output and every gradient are bitwise the composite's; x_hat is kept only
+    when gamma needs a gradient. The in-place steps run in the widest dtype
+    of the operands, so none of them narrows a result.
+    """
+    shape = (1, -1, 1)
+    neg_mean = (-mean).reshape(shape)
+    inv_std = ((var + var.dtype.type(eps)) ** -0.5).reshape(shape)
+    gamma_r = gamma.data.reshape(shape)
+    beta_r = beta.data.reshape(shape)
+    need_gamma, need_beta = _needs_grad(gamma), _needs_grad(beta)
+    dtype = np.result_type(x.data, mean, var, gamma.data, beta.data)
+    x_hat = np.add(x.data, neg_mean, dtype=dtype)
+    x_hat *= inv_std
+    if need_gamma:
+        data = x_hat * gamma_r
+    else:
+        data = np.multiply(x_hat, gamma_r, out=x_hat)
+        x_hat = None
+    data += beta_r
+
+    def backward(g):
+        if _needs_grad(x):
+            _accumulate(x, (g * gamma_r) * inv_std)
+        if need_gamma:
+            _accumulate(gamma, _unbroadcast(g * x_hat, gamma_r.shape).reshape(gamma.data.shape))
+        if need_beta:
+            _accumulate(beta, _unbroadcast(g, beta_r.shape).reshape(beta.data.shape))
+
+    return _node(data, (x, gamma, beta), backward)
 
 
 def maxpool1d(x: Tensor, pool_size: int = 2, stride: int | None = None) -> Tensor:

@@ -583,9 +583,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        defaults = _read_json(args.config)
+        try:
+            defaults = _read_json(args.config)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        if not isinstance(defaults, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         if not commands.keys().isdisjoint(defaults):
             defaults = defaults.get(args.command, {})
+            if not isinstance(defaults, dict):
+                raise ValueError(f"config section {args.command!r} must be a JSON object")
         for key, value in defaults.items():
             dest = key.replace("-", "_")
             if dest not in vars(args) or dest in ("command", "func"):

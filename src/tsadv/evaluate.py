@@ -242,20 +242,6 @@ def save_reports_csv(reports: list[AttackReport], path: str | os.PathLike) -> No
             writer.writerow(row)
 
 
-def load_reports_csv(path: str | os.PathLike) -> list[AttackReport]:
-    reports = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            reports.append(AttackReport(
-                dataset=row["dataset"], box_mode=row["box_mode"],
-                teacher_kind=row["teacher_kind"], beta=float(row["beta"]),
-                num_adversaries=int(row["num_adversaries"]),
-                mse_adversaries=None if row["mse_adversaries"] == "" else float(row["mse_adversaries"]),
-                mse_all=float(row["mse_all"]), split=row["split"], criterion=row["criterion"],
-                n_evaluated=int(row["n_evaluated"])))
-    return reports
-
-
 def save_reports_json(reports: list[AttackReport], path: str | os.PathLike,
                       provenance: dict | None = None) -> None:
     blob = {"provenance": provenance or {}, "reports": [r.to_dict() for r in reports]}

@@ -112,19 +112,18 @@ class BatchNorm1d(Layer):
     def forward(self, x, training):
         if x.data.ndim != 3:
             raise ValueError(f"batchnorm expects [B, C, L] input, got {x.data.shape}")
-        if training:
-            mu = ad.tmean(x, axis=(0, 2), keepdims=True)
-            centered = x - mu
-            var = ad.tmean(centered * centered, axis=(0, 2), keepdims=True)
-            m = self.momentum
-            self.running_mean = (m * self.running_mean
-                                 + (1 - m) * mu.data.reshape(-1)).astype(self.running_mean.dtype)
-            self.running_var = (m * self.running_var
-                                + (1 - m) * var.data.reshape(-1)).astype(self.running_var.dtype)
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1))
-            centered = x - mu
+        if not training:
+            return ad.batchnorm_inference(x, self.running_mean, self.running_var, self.eps,
+                                          self.gamma, self.beta)
+        # the composite's backward summation order fixes the trained state hash
+        mu = ad.tmean(x, axis=(0, 2), keepdims=True)
+        centered = x - mu
+        var = ad.tmean(centered * centered, axis=(0, 2), keepdims=True)
+        m = self.momentum
+        self.running_mean = (m * self.running_mean
+                             + (1 - m) * mu.data.reshape(-1)).astype(self.running_mean.dtype)
+        self.running_var = (m * self.running_var
+                            + (1 - m) * var.data.reshape(-1)).astype(self.running_var.dtype)
         inv_std = ad.pow_const(var + self.eps, -0.5)
         x_hat = centered * inv_std
         gamma = ad.reshape(self.gamma, (1, self.num_features, 1))
@@ -244,9 +243,6 @@ class Network:
 
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.parameters():

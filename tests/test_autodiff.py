@@ -110,6 +110,15 @@ class TestPrimitiveGradients:
         out.backward()
         assert np.array_equal(a.grad, np.zeros((2, 2)))
 
+    def test_relu_propagates_nan_and_maps_negative_zero_to_zero(self):
+        a = Tensor(np.array([np.nan, -0.0, 0.0, -2.0, 3.0]), requires_grad=True)
+        out = ad.relu(a)
+        assert np.isnan(out.data[0])
+        assert np.array_equal(out.data[1:], [0.0, 0.0, 0.0, 3.0])
+        assert not np.signbit(out.data[1:]).any()
+        ad.tsum(out * Tensor(np.ones(5))).backward()
+        assert np.array_equal(a.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
+
     def test_log(self):
         a = Tensor(self.rng.uniform(0.5, 3.0, (4, 4)), requires_grad=True)
         check_gradients(lambda: ad.log(a), [a])
@@ -217,6 +226,20 @@ class TestLayerGradients:
 
             check_gradients(make, [x, layer.gamma, layer.beta])
 
+    def test_batchnorm_eval_mode(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            b = int(rng.integers(1, 5))
+            c = int(rng.integers(1, 4))
+            length = int(rng.integers(1, 7))
+            layer = BatchNorm1d(c, dtype=np.float64)
+            layer.gamma.data = rng.uniform(0.5, 1.5, c)
+            layer.beta.data = rng.normal(size=c)
+            layer.running_mean = rng.normal(size=c)
+            layer.running_var = rng.uniform(0.5, 2.0, c)
+            x = tracked(rng, b, c, length)
+            check_gradients(lambda: layer.forward(x, training=False), [x, layer.gamma, layer.beta])
+
     def test_batchnorm_train_statistics(self):
         rng = np.random.default_rng(15)
         layer = BatchNorm1d(4, dtype=np.float64)
@@ -234,6 +257,98 @@ class TestLayerGradients:
         out = layer.forward(x, training=False)
         assert out.data[0, 0] == pytest.approx(0.0, abs=1e-3)
         assert out.data[0, 1] == pytest.approx(4.0, abs=1e-2)
+
+
+def composite_batchnorm_inference(layer, x):
+    """Inference-mode BatchNorm1d as the ad primitives it was built from."""
+    mu = Tensor(layer.running_mean.reshape(1, -1, 1))
+    var = Tensor(layer.running_var.reshape(1, -1, 1))
+    x_hat = (x - mu) * ad.pow_const(var + layer.eps, -0.5)
+    gamma = ad.reshape(layer.gamma, (1, -1, 1))
+    beta = ad.reshape(layer.beta, (1, -1, 1))
+    return gamma * x_hat + beta
+
+
+def einsum_conv1d_input_gradient(x, w, g, padding):
+    """conv1d's input gradient as an einsum and a scatter over [B, Cin, Lp]."""
+    _, _, length = x.shape
+    k_size = w.shape[2]
+    left = (k_size - 1) // 2 if padding == "same" else 0
+    right = k_size - 1 - left if padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
+    l_out = xp.shape[2] - k_size + 1
+    d_windows = np.einsum("bol,ock->bclk", g, w, optimize=True)
+    gxp = np.zeros_like(xp)
+    for k in range(k_size):
+        gxp[:, :, k : k + l_out] += d_windows[:, :, :, k]
+    return gxp[:, :, left : left + length]
+
+
+class TestFusedKernelParity:
+    """The one-pass kernels equal, bit for bit, the formulas they replaced."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_relu(self, dtype):
+        rng = np.random.default_rng(30)
+        a = rng.normal(size=(3, 4, 9)).astype(dtype)
+        a[0, 0, :3] = [0.0, -0.0, 0.0]
+        g = rng.normal(size=a.shape).astype(dtype)
+        t = Tensor(a.copy(), requires_grad=True)
+        out = ad.relu(t)
+        out._backward(g)
+        old = np.where(a > 0, a, 0)
+        assert np.array_equal(out.data, old) and out.data.dtype == old.dtype
+        assert np.array_equal(np.signbit(out.data), np.signbit(old))
+        assert np.array_equal(t.grad, g * (a > 0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("b, c, length", [(5, 3, 7), (1, 4, 6), (6, 1, 5)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_batchnorm_inference(self, dtype, b, c, length, frozen):
+        rng = np.random.default_rng(31)
+        layer = BatchNorm1d(c, dtype=dtype)
+        layer.gamma.data = rng.uniform(0.5, 1.5, c).astype(dtype)
+        layer.beta.data = rng.normal(size=c).astype(dtype)
+        layer.running_mean = rng.normal(size=c).astype(dtype)
+        layer.running_var = rng.uniform(0.1, 3.0, c).astype(dtype)
+        layer.gamma.requires_grad = layer.beta.requires_grad = not frozen
+        x_data = rng.normal(size=(b, c, length)).astype(dtype)
+        proj = Tensor(rng.normal(size=(b, c, length)).astype(dtype))
+        grads = []
+        for build in (lambda x: layer.forward(x, training=False),
+                      lambda x: composite_batchnorm_inference(layer, x)):
+            layer.gamma.grad = layer.beta.grad = None
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = build(x)
+            ad.tsum(out * proj).backward()
+            grads.append((out.data, x.grad, layer.gamma.grad, layer.beta.grad))
+        for new, old in zip(*grads):
+            if old is None:
+                assert new is None
+            else:
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("b, cin, cout, k, length",
+                             [(4, 3, 5, 3, 11), (3, 2, 6, 4, 9), (1, 3, 4, 5, 12), (5, 1, 8, 8, 24)])
+    def test_conv1d(self, dtype, padding, b, cin, cout, k, length):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(b, cin, length)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(cout, cin, k)).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
+        out = ad.conv1d(x, w, bias, padding)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x.data, ((0, 0), (0, 0), ((k - 1) // 2, k // 2))) if padding == "same"
+            else x.data, k, axis=2)
+        old = np.einsum("bclk,ock->bol", windows, w.data, optimize=True) + bias.data[None, :, None]
+        assert np.array_equal(out.data, old)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out._backward(g)
+        old_dx = einsum_conv1d_input_gradient(x.data, w.data, g, padding)
+        assert x.grad.dtype == old_dx.dtype and np.array_equal(x.grad, old_dx)
 
 
 class TestLosses:

@@ -258,6 +258,25 @@ class TestConfigFile:
         assert run("--config", str(cfg), "prepare", "--out", str(tmp_path / "o")) == 1
         assert "bogus-flag" in capsys.readouterr().err
 
+    def test_missing_config_file_is_an_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert run("--config", missing, "prepare", "--out", str(tmp_path / "o"), "--synthetic") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    def test_config_file_holding_a_list_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"synthetic": True}]))
+        assert run("--config", str(cfg), "prepare", "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("error: config file")
+
+    def test_config_section_not_an_object_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prepare": 3}))
+        assert run("--config", str(cfg), "prepare", "--out", str(tmp_path / "o"),
+                   "--synthetic") == 1
+        assert capsys.readouterr().err.startswith("error: config section 'prepare'")
+
 
 class TestArchiveLayout:
     def test_env_root_resolution(self, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -8,7 +9,6 @@ from tsadv.evaluate import (
     count_adversaries_labeled,
     count_adversaries_unlabeled,
     generalization_eval,
-    load_reports_csv,
     load_reports_json,
     pairwise_wilcoxon,
     save_reports_csv,
@@ -16,6 +16,17 @@ from tsadv.evaluate import (
     wilcoxon_signed_rank,
 )
 from tsadv.util import rankdata_average
+
+
+def load_reports_csv(path):
+    """Read back what save_reports_csv wrote, one AttackReport per row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [AttackReport(
+            dataset=row["dataset"], box_mode=row["box_mode"], teacher_kind=row["teacher_kind"],
+            beta=float(row["beta"]), num_adversaries=int(row["num_adversaries"]),
+            mse_adversaries=None if row["mse_adversaries"] == "" else float(row["mse_adversaries"]),
+            mse_all=float(row["mse_all"]), split=row["split"], criterion=row["criterion"],
+            n_evaluated=int(row["n_evaluated"])) for row in csv.DictReader(fh)]
 
 
 class StubTeacher:
