@@ -197,19 +197,27 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
 
 def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
                      teacher_model: Network | None = None, student: Network | None = None,
-                     betas: tuple[float, ...] = BETA_GRID, provenance: dict | None = None):
+                     betas: tuple[float, ...] = BETA_GRID, provenance: dict | None = None,
+                     pred_clean: np.ndarray | None = None):
     """Train one generator per beta, score each on the real teacher, pick the best.
 
-    Returns (runs, reports, best_index); best means most labeled-criterion
-    adversaries on d_eval, ties broken by smaller adversary MSE, then by
-    smaller beta.
+    ``pred_clean`` is the teacher's label for each d_eval series, queried here
+    when not given. Returns (runs, reports, best_index, outputs); best means
+    most labeled-criterion adversaries on d_eval, ties broken by smaller
+    adversary MSE, then by smaller beta. ``outputs`` holds what the teacher was
+    shown: "clean_labels" [N], each beta's "x_hat" [n_betas, N, T] in the
+    generator's dtype, and the teacher's labels of those, "adv_labels"
+    [n_betas, N]; any count on d_eval can be made again from them.
     """
     from .evaluate import count_adversaries_labeled
 
     runs = []
     reports = []
+    x_hats = []
+    adv_labels = []
     x = d_eval.values
-    pred_clean = teacher.predict_labels(x)
+    if pred_clean is None:
+        pred_clean = teacher.predict_labels(x)
     signal = None
     for beta in betas:
         config = replace(base_config, beta=beta)
@@ -220,14 +228,20 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
                                       run.gatn.parameters()[0].dtype)
         train_gatn(run, x, signal)
         x_hat = generate(run, x, signal)
+        pred_adv = teacher.predict_labels(x_hat)
         report = count_adversaries_labeled(
             teacher, x, x_hat, d_eval.labels, dataset=d_eval.name, box_mode=config.box_mode,
-            teacher_kind=config.teacher_kind, beta=beta, split="d_eval", pred_clean=pred_clean)
+            teacher_kind=config.teacher_kind, beta=beta, split="d_eval", pred_clean=pred_clean,
+            pred_adv=pred_adv)
         runs.append(run)
         reports.append(report)
+        x_hats.append(x_hat)
+        adv_labels.append(pred_adv)
     best = min(range(len(betas)), key=lambda i: (
         -reports[i].num_adversaries,
         reports[i].mse_adversaries if reports[i].mse_adversaries is not None else np.inf,
         betas[i],
     ))
-    return runs, reports, best
+    outputs = {"clean_labels": pred_clean, "x_hat": np.stack(x_hats),
+               "adv_labels": np.stack(adv_labels)}
+    return runs, reports, best, outputs

@@ -13,6 +13,7 @@ configuration is echoed into the output directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -28,8 +29,8 @@ from .attack import (
     AttackConfig,
     attacks_teacher,
     beta_grid_search,
-    generate,
     make_attack_run,
+    surrogate_signal,
 )
 from .data import Dataset, load_ucr, preprocess_dataset, remap_labels, save_ucr, stratified_split
 from .distill import DistillConfig, teacher_outputs, train_student
@@ -49,6 +50,8 @@ from .teachers import DTW1NNTeacher, FCNTeacher
 from .util import config_hash
 
 UCR_ROOT_ENV = "TSADV_UCR_ROOT"
+# what the attack stage showed the teacher on d_eval, kept for evaluate
+D_EVAL_OUTPUTS = "d_eval_outputs.npz"
 DELIMITERS = {"tab": "\t", "comma": ",", "space": " "}
 
 # sensor / ECG / EOG / hemodynamics datasets of the 2018 archive, the slice
@@ -277,23 +280,30 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _student_hash(out: str, box: str, teacher_kind: str, needed_by: str) -> str | None:
-    """State hash of the distilled student an attack of this kind goes after, if any.
+def _student_manifest(out: str, box: str, teacher_kind: str, teacher_hash: str,
+                      needed_by: str) -> dict | None:
+    """Manifest of the distilled student an attack of this kind goes after, if any.
 
-    A black-box attack accepts only a student distilled from hard labels.
+    The student must have been distilled from the teacher stage whose config
+    hash is ``teacher_hash``, and a black-box attack accepts only a student
+    distilled from hard labels.
     """
     if attacks_teacher(box, teacher_kind):
         return None
     manifest = _load_manifest(out, "student", needed_by)
+    if manifest["config"]["teacher"] != teacher_hash:
+        raise MissingArtifactError(
+            f"{needed_by} needs a student distilled from the current teacher stage; "
+            f"rerun `tsadv distill` first")
     if box == "black" and manifest["mode"] != "hard":
         raise MissingArtifactError(
             f"black-box {needed_by} needs a student distilled from hard labels, but the student "
             f"stage used {manifest['mode']} targets; rerun `tsadv distill --box black` first")
-    return manifest["state_hash"]
+    return manifest
 
 
 def _surrogate_for(out: str, box: str, teacher_kind: str, needed_by: str):
-    """Teacher, teacher network and student; call after :func:`_student_hash`."""
+    """Teacher, teacher network and student; call after :func:`_student_manifest`."""
     teacher, teacher_model = _load_teacher(out, needed_by)
     if attacks_teacher(box, teacher_kind):
         return teacher, teacher_model, None
@@ -312,22 +322,36 @@ def cmd_attack(args) -> int:
     base = AttackConfig(box_mode=args.box, teacher_kind=args.teacher, alpha=args.alpha,
                         beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
                         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
+    student = _student_manifest(out, args.box, args.teacher, teacher_manifest["config_hash"],
+                                "attack")
+    # a student distilled from hard labels kept the teacher's clean d_eval
+    # labels; soft targets are not reused, since argmax(soft_1nn) may break a
+    # distance tie differently from nn1_classify
+    labels_path = os.path.join(out, "student", "teacher_outputs.npz")
+    reuse_labels = student is not None and student["mode"] == "hard"
     cfg = {"box": args.box, "teacher": args.teacher, "alpha": args.alpha, "betas": betas,
            "target_class": args.target_class, "seed_gatn": args.seed_gatn,
            "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
            "teacher_hash": teacher_manifest["config_hash"],
-           "student_hash": _student_hash(out, args.box, args.teacher, "attack")}
+           "student_hash": student["state_hash"] if student else None,
+           "clean_labels_sha256": _file_sha256(labels_path) if reuse_labels else None}
 
     def write(stage: str) -> dict:
-        teacher, teacher_model, student = _surrogate_for(out, args.box, args.teacher, "attack")
+        teacher, teacher_model, student_model = _surrogate_for(out, args.box, args.teacher,
+                                                               "attack")
         d_eval = _load_split(out, "d_eval", "attack")
+        pred_clean = None
+        if reuse_labels:
+            with np.load(labels_path) as saved:
+                pred_clean = saved["hard_labels"]
         provenance = {"dataset": d_eval.name, "out": out}
-        runs, reports, best = beta_grid_search(base, d_eval, teacher, teacher_model=teacher_model,
-                                               student=student, betas=tuple(betas),
-                                               provenance=provenance)
+        runs, reports, best, outputs = beta_grid_search(
+            base, d_eval, teacher, teacher_model=teacher_model, student=student_model,
+            betas=tuple(betas), provenance=provenance, pred_clean=pred_clean)
         gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
         for run, fname in zip(runs, gatn_files):
             save_model(run.gatn, os.path.join(stage, fname))
+        np.savez(os.path.join(stage, D_EVAL_OUTPUTS), **outputs)
         save_reports_json(reports, os.path.join(stage, "grid_reports.json"), provenance=provenance)
         print(f"[attack] best beta {betas[best]:.0e}: "
               f"{reports[best].num_adversaries}/{reports[best].n_evaluated} d_eval adversaries")
@@ -341,20 +365,38 @@ def cmd_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Count adversaries on both splits.
+
+    d_eval's counts are made again from the teacher labels and series the
+    attack stage saved, with no model run; only d_test is shown to the
+    surrogate and the teacher, each once for its clean series.
+    """
     out = args.out
     attack_manifest = _load_manifest(out, "attack", "evaluate")
     acfg = attack_manifest["config"]
+    teacher_hash = _load_manifest(out, "teacher", "evaluate")["config_hash"]
+    student = _student_manifest(out, acfg["box"], acfg["teacher"], teacher_hash, "evaluate")
     cfg = {"attack": attack_manifest["config_hash"],
            "gatn_state_hashes": attack_manifest["gatn_state_hashes"],
-           "teacher_hash": _load_manifest(out, "teacher", "evaluate")["config_hash"],
-           "student_hash": _student_hash(out, acfg["box"], acfg["teacher"], "evaluate"),
+           "teacher_hash": teacher_hash,
+           "student_hash": student["state_hash"] if student else None,
            "criterion": args.criterion, "all_betas": args.all_betas}
 
     def write(stage: str) -> dict:
-        teacher, teacher_model, student = _surrogate_for(out, acfg["box"], acfg["teacher"],
-                                                         "evaluate")
+        outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
+        if not os.path.exists(outputs_path):
+            raise MissingArtifactError(
+                f"evaluate needs {outputs_path}, which this attack stage does not have; "
+                f"rerun `tsadv attack` first")
+        teacher, teacher_model, student_model = _surrogate_for(out, acfg["box"], acfg["teacher"],
+                                                               "evaluate")
         d_eval = _load_split(out, "d_eval", "evaluate")
         d_test = _load_split(out, "d_test", "evaluate")
+        with np.load(outputs_path) as saved:
+            eval_clean, eval_x_hat, eval_adv = (saved["clean_labels"], saved["x_hat"],
+                                                saved["adv_labels"])
+        test_clean = teacher.predict_labels(d_test.values)
+        test_signal = None
         betas = attack_manifest["betas"]
         indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
         reports = []
@@ -363,26 +405,29 @@ def cmd_evaluate(args) -> int:
                                   alpha=acfg["alpha"], beta=betas[i],
                                   target_class=acfg["target_class"], seed=acfg["seed_gatn"])
             run = make_attack_run(config, input_length=d_eval.length,
-                                  teacher_model=teacher_model, student=student)
+                                  teacher_model=teacher_model, student=student_model)
             run.gatn = load_model(os.path.join(out, "attack", attack_manifest["gatn_files"][i]))
+            if test_signal is None:
+                test_signal = surrogate_signal(run.surrogate, d_test.values, config.target_class,
+                                               run.gatn.parameters()[0].dtype)
             kwargs = dict(dataset=d_eval.name, box_mode=config.box_mode,
-                          teacher_kind=config.teacher_kind, beta=betas[i])
+                          teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval",
+                          pred_clean=eval_clean, pred_adv=eval_adv[i])
             if args.criterion == "labeled":
-                x = d_eval.values
-                reports.append(count_adversaries_labeled(teacher, x, generate(run, x),
-                                                         d_eval.labels, split="d_eval", **kwargs))
-                reports.append(generalization_eval(run, teacher, d_test))
+                reports.append(count_adversaries_labeled(teacher, d_eval.values, eval_x_hat[i],
+                                                         d_eval.labels, **kwargs))
             else:
-                for split, x in (("d_eval", d_eval.values), ("d_test", d_test.values)):
-                    reports.append(count_adversaries_unlabeled(teacher, x, generate(run, x),
-                                                               split=split, **kwargs))
+                reports.append(count_adversaries_unlabeled(teacher, d_eval.values, eval_x_hat[i],
+                                                           **kwargs))
+            reports.append(generalization_eval(run, teacher, d_test, args.criterion,
+                                               signal=test_signal, pred_clean=test_clean))
         save_reports_csv(reports, os.path.join(stage, "reports.csv"))
         save_reports_json(reports, os.path.join(stage, "reports.json"),
                           provenance={"out": out, "criterion": args.criterion})
         for r in reports:
             print(f"[evaluate] {r.split:7s} beta={r.beta:.0e} criterion={r.criterion}: "
                   f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
-        return {"n_reports": len(reports)}
+        return {"n_reports": len(reports), "teacher_calls": dict(teacher.calls)}
 
     _run_stage(out, "reports", cfg, write)
     return 0
@@ -406,12 +451,15 @@ def cmd_report(args) -> int:
 
     for split, tag in (("d_eval", "counts"), ("d_test", "generalization")):
         rows = [r for r in all_reports if r.split == split]
-        with open(os.path.join(args.out, f"plot_{tag}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("dataset,variant,beta,num_adversaries,mse_adversaries,mse_all\n")
+        with open(os.path.join(args.out, f"plot_{tag}.csv"), "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["dataset", "variant", "beta", "num_adversaries", "mse_adversaries",
+                             "mse_all"])
             for r in rows:
                 mse_adv = "" if r.mse_adversaries is None else repr(r.mse_adversaries)
-                fh.write(f"{r.dataset},{variant(r)},{r.beta!r},{r.num_adversaries},"
-                         f"{mse_adv},{r.mse_all!r}\n")
+                writer.writerow([r.dataset, variant(r), repr(r.beta), r.num_adversaries, mse_adv,
+                                 repr(r.mse_all)])
     eval_rows = [r for r in all_reports if r.split == "d_eval"]
     by_variant_counts: dict[str, dict[str, float]] = {}
     by_variant_mse: dict[str, dict[str, float]] = {}

@@ -79,11 +79,12 @@ def _build_report(adversary_mask: np.ndarray, mse: np.ndarray, *, dataset: str,
 def count_adversaries_labeled(teacher, x: np.ndarray, x_hat: np.ndarray, y_true: np.ndarray,
                               *, dataset: str = "", box_mode: str = "", teacher_kind: str = "",
                               beta: float = 0.0, split: str = "d_eval",
-                              pred_clean: np.ndarray | None = None) -> AttackReport:
+                              pred_clean: np.ndarray | None = None,
+                              pred_adv: np.ndarray | None = None) -> AttackReport:
     """Two-fold verification: clean prediction correct AND flipped by x_hat.
 
-    ``pred_clean`` is the teacher's label for each row of ``x``, queried here
-    when not given.
+    ``pred_clean`` and ``pred_adv`` are the teacher's labels for each row of
+    ``x`` and ``x_hat``, queried here when not given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
@@ -92,7 +93,8 @@ def count_adversaries_labeled(teacher, x: np.ndarray, x_hat: np.ndarray, y_true:
     y_true = np.asarray(y_true, dtype=np.int64)
     if pred_clean is None:
         pred_clean = teacher.predict_labels(x)
-    pred_adv = teacher.predict_labels(x_hat)
+    if pred_adv is None:
+        pred_adv = teacher.predict_labels(x_hat)
     mask = (pred_clean == y_true) & (pred_adv != pred_clean)
     return _build_report(mask, _per_sample_mse(x, x_hat), dataset=dataset, box_mode=box_mode,
                          teacher_kind=teacher_kind, beta=beta, split=split, criterion="labeled")
@@ -100,33 +102,50 @@ def count_adversaries_labeled(teacher, x: np.ndarray, x_hat: np.ndarray, y_true:
 
 def count_adversaries_unlabeled(teacher, x: np.ndarray, x_hat: np.ndarray, *, dataset: str = "",
                                 box_mode: str = "", teacher_kind: str = "", beta: float = 0.0,
-                                split: str = "d_eval") -> AttackReport:
-    """Clean predictions are pseudo-labels; any flip counts."""
+                                split: str = "d_eval", pred_clean: np.ndarray | None = None,
+                                pred_adv: np.ndarray | None = None) -> AttackReport:
+    """Clean predictions are pseudo-labels; any flip counts.
+
+    ``pred_clean`` and ``pred_adv`` are as in :func:`count_adversaries_labeled`.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("no samples to evaluate")
-    pseudo = teacher.predict_labels(x)
-    pred_adv = teacher.predict_labels(x_hat)
-    mask = pred_adv != pseudo
+    if pred_clean is None:
+        pred_clean = teacher.predict_labels(x)
+    if pred_adv is None:
+        pred_adv = teacher.predict_labels(x_hat)
+    mask = pred_adv != pred_clean
     return _build_report(mask, _per_sample_mse(x, x_hat), dataset=dataset, box_mode=box_mode,
                          teacher_kind=teacher_kind, beta=beta, split=split, criterion="unlabeled")
 
 
-def generalization_eval(run, teacher, d_test: Dataset) -> AttackReport:
-    """Labeled counting on the unseen split with zero parameter updates.
+def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled",
+                        signal: tuple[np.ndarray, np.ndarray] | None = None,
+                        pred_clean: np.ndarray | None = None) -> AttackReport:
+    """Counting on the unseen split with zero parameter updates.
 
+    ``signal`` (``attack.surrogate_signal`` of ``d_test``) and ``pred_clean``
+    (the teacher's labels of ``d_test``) are computed here when not given,
+    so that every generator evaluated on the split can share one of each.
     Generator and surrogate state are hashed before and after; any drift is
     an error, since generation must be a pure forward pass.
     """
     from .attack import generate
 
+    if criterion not in ("labeled", "unlabeled"):
+        raise ValueError(f"unknown criterion {criterion!r}")
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
-    x_hat = generate(run, x)
-    report = count_adversaries_labeled(
-        teacher, x, x_hat, d_test.labels, dataset=d_test.name, box_mode=run.config.box_mode,
-        teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test")
+    x_hat = generate(run, x, signal)
+    kwargs = dict(dataset=d_test.name, box_mode=run.config.box_mode,
+                  teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test",
+                  pred_clean=pred_clean)
+    if criterion == "labeled":
+        report = count_adversaries_labeled(teacher, x, x_hat, d_test.labels, **kwargs)
+    else:
+        report = count_adversaries_unlabeled(teacher, x, x_hat, **kwargs)
     after = (run.gatn.state_hash(), run.surrogate.state_hash())
     if before != after:
         raise RuntimeError("model parameters changed during test-split evaluation")

@@ -91,8 +91,8 @@ def run_white_box_fcn_pipeline(train: Dataset, pool: Dataset, gatn_epochs: int) 
     base = AttackConfig(box_mode="white", teacher_kind="fcn", alpha=1.5, beta=1e-1,
                         target_class=1, seed=0, epochs=gatn_epochs)
     t0 = time.time()
-    runs, reports, best = beta_grid_search(base, split.d_eval, teacher,
-                                           teacher_model=teacher_net)
+    runs, reports, best, _ = beta_grid_search(base, split.d_eval, teacher,
+                                              teacher_model=teacher_net)
     test_report = generalization_eval(runs[best], teacher, split.d_test)
     attack_seconds = time.time() - t0
     return PipelineResult(

@@ -260,9 +260,14 @@ class TestBetaGridSearch:
     def test_grid_produces_five_runs_and_reports(self, trained_teacher, eval_split):
         teacher = FCNTeacher(trained_teacher)
         base = attack_config(epochs=8)
-        runs, reports, best = beta_grid_search(base, eval_split, teacher,
-                                               teacher_model=trained_teacher)
+        runs, reports, best, outputs = beta_grid_search(base, eval_split, teacher,
+                                                        teacher_model=trained_teacher)
         assert len(runs) == 5 and len(reports) == 5
+        n, t = eval_split.values.shape
+        assert outputs["clean_labels"].shape == (n,)
+        assert outputs["x_hat"].shape == (5, n, t)
+        assert outputs["x_hat"].dtype == runs[0].gatn.parameters()[0].dtype
+        assert outputs["adv_labels"].shape == (5, n)
         assert {r.config.beta for r in runs} == set(BETA_GRID)
         for report, beta in zip(reports, BETA_GRID):
             assert report.beta == beta
@@ -281,8 +286,9 @@ class TestBetaGridSearch:
             return surrogate_signal(*args, **kwargs)
 
         monkeypatch.setattr(attack_module, "surrogate_signal", counting)
-        runs, _, _ = beta_grid_search(attack_config(epochs=1), eval_split,
-                                      FCNTeacher(trained_teacher), teacher_model=trained_teacher)
+        runs, _, _, _ = beta_grid_search(attack_config(epochs=1), eval_split,
+                                         FCNTeacher(trained_teacher),
+                                         teacher_model=trained_teacher)
         assert len(runs) == len(BETA_GRID)
         assert calls == [eval_split.values.shape]
 
@@ -312,8 +318,8 @@ class TestBetaGridSearch:
         teacher = SimpleNamespace(predict_labels=lambda x: np.zeros(len(x), dtype=np.int64))
         teacher_net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
                                                    architecture="fcn"))
-        _, reports, best = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
-                                            teacher_model=teacher_net)
+        _, reports, best, _ = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
+                                               teacher_model=teacher_net)
         assert [(r.num_adversaries, r.mse_adversaries) for r in reports] == [
             outcome[b] for b in BETA_GRID]
         assert BETA_GRID[best] == 1e-3

@@ -1,6 +1,9 @@
+import csv
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from tsadv.cli import main
@@ -23,6 +26,34 @@ def white_fcn_run(tmp_path_factory):
                "--beta", "1e-3", "--epochs", "15") == 0
     assert run("evaluate", "--out", out) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def black_dtw_run(tmp_path_factory):
+    """Black-box dtw1nn pipeline over the whole beta grid on the synthetic set, one epoch each."""
+    out = str(tmp_path_factory.mktemp("bb_dtw"))
+    assert run("prepare", "--out", out, "--synthetic") == 0
+    assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+    assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
+    assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+    assert run("evaluate", "--out", out) == 0
+    return out
+
+
+BLACK_DTW_ATTACK = ("attack", "--box", "black", "--teacher", "dtw1nn", "--beta-grid",
+                    "--epochs", "1")
+
+
+def copy_run(src, tmp_path):
+    """A private copy of a module-scoped run directory, free to change."""
+    out = str(tmp_path / "run")
+    shutil.copytree(src, out)
+    return out
+
+
+def read_manifest(out, stage):
+    with open(os.path.join(out, stage, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestPipeline:
@@ -95,6 +126,171 @@ class TestPipeline:
         assert hashes[0] == hashes[1]
 
 
+def recounted_reports(out, criterion, all_betas):
+    """evaluate's reports by generating and counting anew on both splits.
+
+    This is the formula evaluate used before it read d_eval's counts from the
+    attack stage: each saved generator is run on d_eval and d_test and every
+    label is queried from the teacher.
+    """
+    from tsadv.attack import AttackConfig, generate, make_attack_run
+    from tsadv.data import Dataset, load_ucr, remap_labels
+    from tsadv.evaluate import count_adversaries_labeled, count_adversaries_unlabeled
+    from tsadv.nn import load_model
+    from tsadv.teachers import DTW1NNTeacher, FCNTeacher
+
+    name = read_manifest(out, "prepare")["config"]["dataset"]
+
+    def split(which):
+        loaded = remap_labels(load_ucr(os.path.join(out, "prepare", f"{which}.tsv")))
+        return Dataset(name=name, series=loaded.series, label_map=loaded.label_map)
+
+    attack = read_manifest(out, "attack")
+    acfg = attack["config"]
+    if acfg["teacher"] == "fcn":
+        teacher_model = load_model(os.path.join(out, "teacher", "fcn.npz"))
+        teacher = FCNTeacher(teacher_model)
+    else:
+        teacher_model = None
+        teacher = DTW1NNTeacher.from_dataset(split("teacher_train"))
+    student = (None if (acfg["box"], acfg["teacher"]) == ("white", "fcn")
+               else load_model(os.path.join(out, "student", "student.npz")))
+    d_eval, d_test = split("d_eval"), split("d_test")
+    indices = range(len(attack["betas"])) if all_betas else [attack["best_index"]]
+    reports = []
+    for i in indices:
+        beta = attack["betas"][i]
+        config = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
+                              alpha=acfg["alpha"], beta=beta, target_class=acfg["target_class"],
+                              seed=acfg["seed_gatn"])
+        attack_run = make_attack_run(config, d_eval.length, teacher_model, student)
+        attack_run.gatn = load_model(os.path.join(out, "attack", attack["gatn_files"][i]))
+        kwargs = dict(dataset=name, box_mode=acfg["box"], teacher_kind=acfg["teacher"], beta=beta)
+        for split_name, ds in (("d_eval", d_eval), ("d_test", d_test)):
+            x = ds.values
+            x_hat = generate(attack_run, x)
+            if criterion == "labeled":
+                reports.append(count_adversaries_labeled(teacher, x, x_hat, ds.labels,
+                                                         split=split_name, **kwargs))
+            else:
+                reports.append(count_adversaries_unlabeled(teacher, x, x_hat, split=split_name,
+                                                           **kwargs))
+    return [r.to_dict() for r in reports]
+
+
+class TestEvaluateParity:
+    """evaluate's d_eval counts come from what attack saved, with the same bits."""
+
+    @pytest.mark.parametrize("all_betas", [False, True], ids=["best", "all-betas"])
+    @pytest.mark.parametrize("criterion", ["labeled", "unlabeled"])
+    @pytest.mark.parametrize("pipeline", ["white_fcn_run", "black_dtw_run"])
+    def test_reports_match_recounting(self, pipeline, criterion, all_betas, request, tmp_path):
+        out = copy_run(request.getfixturevalue(pipeline), tmp_path)
+        flags = ["--criterion", criterion] + (["--all-betas"] if all_betas else [])
+        assert run("evaluate", "--out", out, *flags) == 0
+        reports, _ = load_reports_json(os.path.join(out, "reports", "reports.json"))
+        assert [r.to_dict() for r in reports] == recounted_reports(out, criterion, all_betas)
+        if criterion == "labeled" and all_betas:
+            grid, _ = load_reports_json(os.path.join(out, "attack", "grid_reports.json"))
+            assert [r for r in reports if r.split == "d_eval"] == grid
+
+    def test_attack_saves_what_the_teacher_saw(self, black_dtw_run):
+        attack = read_manifest(black_dtw_run, "attack")
+        n = read_manifest(black_dtw_run, "prepare")["counts"]["d_eval"]
+        with np.load(os.path.join(black_dtw_run, "student", "teacher_outputs.npz")) as distilled, \
+                np.load(os.path.join(black_dtw_run, "attack", "d_eval_outputs.npz")) as saved:
+            assert np.array_equal(saved["clean_labels"], distilled["hard_labels"])
+            assert saved["x_hat"].shape[:2] == (len(attack["betas"]), n)
+            assert saved["x_hat"].dtype == np.float32
+            assert saved["adv_labels"].shape == (len(attack["betas"]), n)
+
+
+class TestEvaluateTeacherCalls:
+    """evaluate records its teacher queries: d_test's clean labels once, then one per beta."""
+
+    def test_best_beta(self, black_dtw_run):
+        assert read_manifest(black_dtw_run, "reports")["teacher_calls"] == {
+            "predict_labels": 2, "predict_proba": 0}
+
+    def test_all_betas(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("evaluate", "--out", out, "--all-betas") == 0
+        n_betas = len(read_manifest(out, "attack")["betas"])
+        assert read_manifest(out, "reports")["teacher_calls"] == {
+            "predict_labels": 1 + n_betas, "predict_proba": 0}
+
+
+def make_pre_d_eval_outputs_attack_stage(out):
+    """Turn out/attack into an attack stage as written before d_eval_outputs.npz existed.
+
+    Such a stage has no d_eval_outputs.npz and lists none, and its
+    configuration has no clean_labels_sha256 entry.
+    """
+    from tsadv.util import config_hash
+
+    os.remove(os.path.join(out, "attack", "d_eval_outputs.npz"))
+    manifest = read_manifest(out, "attack")
+    manifest["files"].remove("d_eval_outputs.npz")
+    del manifest["config"]["clean_labels_sha256"]
+    manifest["config_hash"] = config_hash(manifest["config"])
+    with open(os.path.join(out, "attack", "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+class TestAttackOutputsUpToDate:
+    def test_evaluate_names_attack_for_an_old_attack_stage(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        make_pre_d_eval_outputs_attack_stage(out)
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tsadv attack" in err
+
+    def test_old_attack_stage_reruns(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        hashes = read_manifest(out, "attack")["gatn_state_hashes"]
+        make_pre_d_eval_outputs_attack_stage(out)
+        capsys.readouterr()
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out, "attack", "d_eval_outputs.npz"))
+        assert read_manifest(out, "attack")["gatn_state_hashes"] == hashes
+        assert run("evaluate", "--out", out) == 0
+
+    def test_deleted_d_eval_outputs_reruns_attack(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        path = os.path.join(out, "attack", "d_eval_outputs.npz")
+        before = open(path, "rb").read()
+        os.remove(path)
+        capsys.readouterr()
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert open(path, "rb").read() == before
+
+    def test_changed_teacher_outputs_rerun_attack(self, black_dtw_run, tmp_path, capsys):
+        """The black-box attack reads its clean labels from the student stage and hashes them."""
+        out = copy_run(black_dtw_run, tmp_path)
+        path = os.path.join(out, "student", "teacher_outputs.npz")
+        with np.load(path) as saved:
+            outputs = dict(saved)
+        outputs["hard_labels"] = 1 - outputs["hard_labels"]
+        np.savez(path, **outputs)
+        capsys.readouterr()
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+        assert "up to date" not in capsys.readouterr().out
+        with np.load(os.path.join(out, "attack", "d_eval_outputs.npz")) as saved:
+            assert np.array_equal(saved["clean_labels"], outputs["hard_labels"])
+
+    def test_student_from_another_teacher_stage_is_refused(self, black_dtw_run, tmp_path,
+                                                           capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn",
+                   "--seed-teacher", "1") == 0
+        capsys.readouterr()
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
+        assert "tsadv distill" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_evaluate_without_attack_names_command(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
@@ -129,8 +325,9 @@ class TestBlackBoxProvenance:
         assert run("distill", "--out", out, "--box", "black", "--epochs", "2") == 0
         assert run(*attack) == 0
         manifest = json.load(open(os.path.join(out, "attack", "manifest.json")))
-        # one query for the clean d_eval labels, then one per beta; never probabilities
-        assert manifest["teacher_calls"] == {"predict_labels": 1 + len(manifest["betas"]),
+        # the clean d_eval labels come from the distill stage's hard-label
+        # query, so one query per beta; never probabilities
+        assert manifest["teacher_calls"] == {"predict_labels": len(manifest["betas"]),
                                              "predict_proba": 0}
         capsys.readouterr()
         assert run(*attack) == 0
@@ -344,6 +541,32 @@ def write_two_power_datasets(tmp_path, monkeypatch):
         write_power_profile_archive(ds_dir / f"{name}_TRAIN.tsv", ds_dir / f"{name}_TEST.tsv",
                                     n_train=12, n_test=24, length=24, seed=seed)
     monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
+
+
+class TestReportPlotCsv:
+    def test_dataset_name_with_a_comma_keeps_its_columns(self, tmp_path):
+        from tsadv.evaluate import AttackReport, save_reports_json
+
+        runs = []
+        for name in ("a,b", "Power"):
+            out = tmp_path / name
+            os.makedirs(out / "reports")
+            reports = [AttackReport(dataset=name, box_mode="white", teacher_kind="fcn", beta=0.01,
+                                    num_adversaries=k, mse_adversaries=0.25 if k else None,
+                                    mse_all=0.125, split=split, criterion="labeled",
+                                    n_evaluated=10) for split, k in (("d_eval", 3), ("d_test", 0))]
+            save_reports_json(reports, out / "reports" / "reports.json")
+            runs.append(str(out))
+        report_dir = tmp_path / "summary"
+        assert run("report", "--out", str(report_dir), "--runs", *runs) == 0
+        for tag, k, mse_adv in (("counts", "3", "0.25"), ("generalization", "0", "")):
+            path = report_dir / f"plot_{tag}.csv"
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[1] == ["a,b", "white-fcn", "0.01", k, mse_adv, "0.125"]
+            # an ordinary name is written as before, unquoted
+            assert path.read_bytes().decode().splitlines()[2] == \
+                f"Power,white-fcn,0.01,{k},{mse_adv},0.125"
 
 
 class TestBatch:

@@ -284,3 +284,24 @@ class TestGeneralizationEval:
         assert report.split == "d_test"
         assert report.criterion == "labeled"
         assert run.gatn.state_hash() == gatn_before
+
+    def test_shared_signal_and_clean_labels_give_the_same_report(self):
+        from tsadv.attack import AttackConfig, make_attack_run, surrogate_signal
+        from tsadv.models import ArchitectureConfig, build_fcn
+        from tsadv.synthetic import make_bump_dataset
+        from tsadv.teachers import FCNTeacher
+
+        d_test = make_bump_dataset(n_per_class=8, length=32, seed=41, name="gen-test")
+        net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
+                                           architecture="fcn", seed=4))
+        run = make_attack_run(AttackConfig(box_mode="white", teacher_kind="fcn"), 32, net, None)
+        signal = surrogate_signal(run.surrogate, d_test.values, run.config.target_class)
+        for criterion in ("labeled", "unlabeled"):
+            fresh = generalization_eval(run, FCNTeacher(net), d_test, criterion)
+            teacher = FCNTeacher(net)
+            shared = generalization_eval(run, teacher, d_test, criterion, signal=signal,
+                                         pred_clean=FCNTeacher(net).predict_labels(d_test.values))
+            assert shared == fresh and shared.criterion == criterion
+            assert teacher.calls == {"predict_labels": 1, "predict_proba": 0}
+        with pytest.raises(ValueError, match="criterion"):
+            generalization_eval(run, FCNTeacher(net), d_test, "both")
