@@ -8,6 +8,9 @@ files; rerunning a stage with an unchanged configuration and all its files
 present is a no-op. Stages written before manifests listed their files rerun
 once. Flags override config-file values, and the fully resolved
 configuration is echoed into the output directory.
+
+The module imports only the stdlib and :mod:`tsadv.config`; each stage imports
+the library it runs inside its ``write``, so an up-to-date stage never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,34 +23,11 @@ import os
 import shutil
 import sys
 import traceback
+from collections import Counter
 from collections.abc import Callable
 
-import numpy as np
-
-from .attack import (
-    BETA_GRID,
-    AttackConfig,
-    attacks_teacher,
-    beta_grid_search,
-    make_attack_run,
-    surrogate_signal,
-)
-from .data import Dataset, load_ucr, preprocess_dataset, remap_labels, save_ucr, stratified_split
-from .distill import DistillConfig, teacher_outputs, train_student
-from .evaluate import (
-    count_adversaries_labeled,
-    count_adversaries_unlabeled,
-    generalization_eval,
-    load_reports_json,
-    pairwise_wilcoxon,
-    save_reports_csv,
-    save_reports_json,
-)
-from .models import ArchitectureConfig, TrainConfig, build_fcn, build_lenet5_1d, train_classifier
-from .nn import TrainingDivergedError, load_model, save_model
-from .synthetic import make_bump_dataset
-from .teachers import DTW1NNTeacher, FCNTeacher
-from .util import config_hash
+from .config import (BETA_GRID, AttackConfig, DistillConfig, TrainingDivergedError,
+                     attacks_teacher, config_hash)
 
 UCR_ROOT_ENV = "TSADV_UCR_ROOT"
 # what the attack stage showed the teacher on d_eval, kept for evaluate
@@ -76,8 +56,10 @@ class MissingArtifactError(FileNotFoundError):
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write through a temporary file, so that ``path`` is never left half written."""
+    with open(path + ".partial", "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
+    os.replace(path + ".partial", path)
 
 
 def _read_json(path: str):
@@ -126,10 +108,13 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
         os.rename(partial, final)
     finally:
         shutil.rmtree(partial, ignore_errors=True)
-    path = os.path.join(out, "config.json")
-    echoed = _read_json(path) if os.path.exists(path) else {}
-    echoed[stage] = cfg
-    _write_json(path, echoed)
+    # rebuilt from the committed manifests, so a damaged echo never fails a later stage
+    echoed = {}
+    for name in _STAGE_COMMANDS:
+        path = os.path.join(out, name, "manifest.json")
+        if os.path.exists(path):
+            echoed[name] = _read_json(path)["config"]
+    _write_json(os.path.join(out, "config.json"), echoed)
 
 
 def _file_sha256(path: str) -> str:
@@ -152,35 +137,36 @@ def _resolve_files(args) -> tuple[str, str]:
 
 def cmd_prepare(args) -> int:
     if args.synthetic:
-        teacher_train = make_bump_dataset(n_per_class=32, length=32, seed=args.seed_split + 100,
-                                          name="bumps-train")
-        pool = make_bump_dataset(n_per_class=64, length=32, seed=args.seed_split + 200,
-                                 name="bumps")
-        dataset_name = "bumps"
+        dataset_name, files = "bumps", None
     else:
         train_file, test_file = _resolve_files(args)
         for path in (train_file, test_file):
             if not os.path.exists(path):
                 raise MissingArtifactError(f"data file not found: {path}")
-        delimiter = DELIMITERS[args.delimiter]
-        teacher_train = remap_labels(load_ucr(train_file, delimiter))
-        pool = remap_labels(load_ucr(test_file, delimiter))
-        target_len = max(max(len(s) for s in teacher_train.series),
-                         max(len(s) for s in pool.series))
-        teacher_train = preprocess_dataset(teacher_train, target_len, znorm=args.znorm)
-        pool = preprocess_dataset(pool, target_len, znorm=args.znorm)
         dataset_name = os.path.basename(args.dataset or os.path.dirname(train_file) or "dataset")
-    # the files' bytes too: data rewritten in place must not look current
+        # the files' bytes too: data rewritten in place must not look current
+        files = [{"path": os.path.abspath(path), "sha256": _file_sha256(path)}
+                 for path in (train_file, test_file)]
     cfg = {"dataset": dataset_name, "seed_split": args.seed_split, "znorm": args.znorm,
-           "synthetic": args.synthetic, "length": teacher_train.length,
-           "files": None if args.synthetic else [
-               {"path": os.path.abspath(path), "sha256": _file_sha256(path)}
-               for path in (train_file, test_file)]}
-
-    def class_counts(ds: Dataset) -> dict:
-        return {int(c): int(n) for c, n in zip(*np.unique(ds.labels, return_counts=True))}
+           "synthetic": args.synthetic, "files": files}
 
     def write(stage: str) -> dict:
+        from .data import load_ucr, preprocess_dataset, remap_labels, save_ucr, stratified_split
+        from .synthetic import make_bump_dataset
+
+        if args.synthetic:
+            teacher_train = make_bump_dataset(n_per_class=32, length=32,
+                                              seed=args.seed_split + 100, name="bumps-train")
+            pool = make_bump_dataset(n_per_class=64, length=32, seed=args.seed_split + 200,
+                                     name="bumps")
+        else:
+            delimiter = DELIMITERS[args.delimiter]
+            teacher_train = remap_labels(load_ucr(train_file, delimiter))
+            pool = remap_labels(load_ucr(test_file, delimiter))
+            target_len = max(max(len(s) for s in teacher_train.series),
+                             max(len(s) for s in pool.series))
+            teacher_train = preprocess_dataset(teacher_train, target_len, znorm=args.znorm)
+            pool = preprocess_dataset(pool, target_len, znorm=args.znorm)
         split = stratified_split(pool, seed=args.seed_split)
         save_ucr(teacher_train, os.path.join(stage, "teacher_train.tsv"))
         save_ucr(split.d_eval, os.path.join(stage, "d_eval.tsv"))
@@ -188,19 +174,22 @@ def cmd_prepare(args) -> int:
         print(f"[prepare] {dataset_name}: train={len(teacher_train)} "
               f"d_eval={len(split.d_eval)} d_test={len(split.d_test)}")
         return {
+            "length": teacher_train.length,
             "num_classes": pool.num_classes,
             "label_map": {str(k): v for k, v in pool.label_map.items()},
             "counts": {"teacher_train": len(teacher_train), "d_eval": len(split.d_eval),
                        "d_test": len(split.d_test)},
-            "class_counts": {"d_eval": class_counts(split.d_eval),
-                             "d_test": class_counts(split.d_test)},
+            "class_counts": {"d_eval": dict(Counter(split.d_eval.labels.tolist())),
+                             "d_test": dict(Counter(split.d_test.labels.tolist()))},
         }
 
     _run_stage(args.out, "prepare", cfg, write)
     return 0
 
 
-def _load_split(out: str, which: str, needed_by: str) -> Dataset:
+def _load_split(out: str, which: str, needed_by: str):
+    from .data import Dataset, load_ucr, remap_labels
+
     manifest = _load_manifest(out, "prepare", needed_by)
     loaded = remap_labels(load_ucr(os.path.join(out, "prepare", f"{which}.tsv")))
     # file basenames are stage-local; reports must carry the dataset's name
@@ -220,6 +209,9 @@ def cmd_train_teacher(args) -> int:
             print(f"[train-teacher] {args.teacher} ready")
             # the 1-NN DTW teacher *is* its reference set
             return {"teacher_kind": args.teacher, "reference": "prepare/teacher_train.tsv"}
+        from .models import ArchitectureConfig, TrainConfig, build_fcn, train_classifier
+        from .nn import save_model
+
         train_set = _load_split(out, "teacher_train", "train-teacher")
         model = build_fcn(ArchitectureConfig(input_length=train_set.length,
                                              num_classes=train_set.num_classes,
@@ -238,6 +230,9 @@ def cmd_train_teacher(args) -> int:
 
 
 def _load_teacher(out: str, needed_by: str):
+    from .nn import load_model
+    from .teachers import DTW1NNTeacher, FCNTeacher
+
     manifest = _load_manifest(out, "teacher", needed_by)
     kind = manifest["teacher_kind"]
     if kind == "fcn":
@@ -259,6 +254,11 @@ def cmd_distill(args) -> int:
            "teacher": teacher_manifest["config_hash"]}
 
     def write(stage: str) -> dict:
+        import numpy as np
+        from .distill import teacher_outputs, train_student
+        from .models import ArchitectureConfig, build_lenet5_1d
+        from .nn import save_model
+
         teacher, _ = _load_teacher(out, "distill")
         d_eval = _load_split(out, "d_eval", "distill")
         mode = "soft" if args.box == "white" else "hard"
@@ -304,11 +304,12 @@ def _student_manifest(out: str, box: str, teacher_kind: str, teacher_hash: str,
 
 def _surrogate_for(out: str, box: str, teacher_kind: str, needed_by: str):
     """Teacher, teacher network and student; call after :func:`_student_manifest`."""
+    from .nn import load_model
+
     teacher, teacher_model = _load_teacher(out, needed_by)
     if attacks_teacher(box, teacher_kind):
         return teacher, teacher_model, None
-    student = load_model(os.path.join(out, "student", "student.npz"))
-    return teacher, teacher_model, student
+    return teacher, teacher_model, load_model(os.path.join(out, "student", "student.npz"))
 
 
 def cmd_attack(args) -> int:
@@ -337,6 +338,11 @@ def cmd_attack(args) -> int:
            "clean_labels_sha256": _file_sha256(labels_path) if reuse_labels else None}
 
     def write(stage: str) -> dict:
+        import numpy as np
+        from .attack import beta_grid_search
+        from .evaluate import save_reports_json
+        from .nn import save_model
+
         teacher, teacher_model, student_model = _surrogate_for(out, args.box, args.teacher,
                                                                "attack")
         d_eval = _load_split(out, "d_eval", "attack")
@@ -383,6 +389,12 @@ def cmd_evaluate(args) -> int:
            "criterion": args.criterion, "all_betas": args.all_betas}
 
     def write(stage: str) -> dict:
+        import numpy as np
+        from .attack import make_attack_run, surrogate_signal
+        from .evaluate import (count_adversaries_labeled, count_adversaries_unlabeled,
+                               generalization_eval, save_reports_csv, save_reports_json)
+        from .nn import load_model
+
         outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
         if not os.path.exists(outputs_path):
             raise MissingArtifactError(
@@ -434,20 +446,31 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .evaluate import load_reports_json, pairwise_wilcoxon, save_reports_csv, save_reports_json
+
+    def variant(r) -> str:
+        return f"{r.box_mode}-{r.teacher_kind}"
+
     all_reports = []
+    eval_reports = {}  # (variant, dataset) -> (run directory, d_eval report)
     for run_dir in args.runs:
         path = os.path.join(run_dir, "reports", "reports.json")
         if not os.path.exists(path):
             raise MissingArtifactError(f"no reports in {run_dir}; run `tsadv evaluate` first")
         reports, _ = load_reports_json(path)
         all_reports.extend(reports)
+        for r in [r for r in reports if r.split == "d_eval"]:
+            key = (variant(r), r.dataset)
+            if key in eval_reports:  # a Wilcoxon vector holds one count per dataset
+                raise ValueError(
+                    f"two d_eval reports of {key[0]} on {r.dataset!r}, in {eval_reports[key][0]} "
+                    f"and in {run_dir}; report takes one per variant and dataset (one seed per "
+                    f"dataset, evaluated without --all-betas)")
+            eval_reports[key] = run_dir, r
     os.makedirs(args.out, exist_ok=True)
     save_reports_csv(all_reports, os.path.join(args.out, "report.csv"))
     save_reports_json(all_reports, os.path.join(args.out, "report.json"),
                       provenance={"runs": list(args.runs)})
-
-    def variant(r) -> str:
-        return f"{r.box_mode}-{r.teacher_kind}"
 
     for split, tag in (("d_eval", "counts"), ("d_test", "generalization")):
         rows = [r for r in all_reports if r.split == split]
@@ -460,20 +483,14 @@ def cmd_report(args) -> int:
                 mse_adv = "" if r.mse_adversaries is None else repr(r.mse_adversaries)
                 writer.writerow([r.dataset, variant(r), repr(r.beta), r.num_adversaries, mse_adv,
                                  repr(r.mse_all)])
-    eval_rows = [r for r in all_reports if r.split == "d_eval"]
-    by_variant_counts: dict[str, dict[str, float]] = {}
-    by_variant_mse: dict[str, dict[str, float]] = {}
-    for r in eval_rows:
-        by_variant_counts.setdefault(variant(r), {})[r.dataset] = r.num_adversaries
-        by_variant_mse.setdefault(variant(r), {})[r.dataset] = (
-            r.mse_adversaries if r.mse_adversaries is not None else np.nan)
-    datasets = sorted({r.dataset for r in eval_rows})
-    for name, by_variant in (("wilcoxon_counts", by_variant_counts),
-                             ("wilcoxon_mse", by_variant_mse)):
+    datasets = sorted({dataset for _, dataset in eval_reports})
+    for name, value in (("wilcoxon_counts", lambda r: r.num_adversaries),
+                        ("wilcoxon_mse", lambda r: float("nan") if r.mse_adversaries is None
+                         else r.mse_adversaries)):
         vectors = {}
-        for v, per_dataset in by_variant.items():
-            if set(per_dataset) == set(datasets):
-                vectors[v] = np.array([per_dataset[d] for d in datasets], dtype=np.float64)
+        for v in dict.fromkeys(v for v, _ in eval_reports):
+            if all((v, d) in eval_reports for d in datasets):
+                vectors[v] = [value(eval_reports[v, d][1]) for d in datasets]
         rows = pairwise_wilcoxon(vectors)
         _write_json(os.path.join(args.out, f"{name}.json"), rows)
         print(f"[report] {name}: {len(rows)} pairwise entries over {len(datasets)} datasets")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import DistillConfig
 from .data import Dataset
 from .models import as_conv_input
 from .nn import Network, cross_entropy, fit, predict
@@ -65,35 +66,6 @@ def teacher_outputs(teacher: Teacher, data: Dataset | np.ndarray, mode: str) -> 
                               teacher_kind=teacher.kind, num_classes=teacher.num_classes,
                               soft_probs=probs)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass
-class DistillConfig:
-    """gamma gates distillation vs hard-label loss; tau softens both logits."""
-
-    gamma: float
-    tau: float = 10.0
-    epochs: int = 200
-    batch_size: int = 128
-    lr: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-
-    @classmethod
-    def for_box_mode(cls, box_mode: str, **kwargs) -> "DistillConfig":
-        """Presets: white-box gamma=0.5, black-box gamma=1."""
-        if box_mode == "white":
-            return cls(gamma=0.5, **kwargs)
-        if box_mode == "black":
-            return cls(gamma=1.0, **kwargs)
-        raise ValueError(f"unknown box_mode {box_mode!r}")
 
 
 def distill_target(outputs: TeacherOutputs, tau: float) -> np.ndarray:

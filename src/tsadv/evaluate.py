@@ -274,7 +274,7 @@ def load_reports_json(path: str | os.PathLike) -> tuple[list[AttackReport], dict
     return [AttackReport.from_dict(d) for d in blob["reports"]], blob["provenance"]
 
 
-def pairwise_wilcoxon(values_by_variant: dict[str, np.ndarray]) -> list[dict]:
+def pairwise_wilcoxon(values_by_variant: dict[str, np.ndarray | list[float]]) -> list[dict]:
     """Upper-triangle pairwise comparisons across attack variants.
 
     Each entry carries the pair, the statistic and p-value, or a note when

@@ -14,11 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainingDivergedError
 from .util import array_state_hash, softmax_np
-
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss turns non-finite."""
 
 
 def he_uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -47,12 +46,6 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
     return out
-
-
-def config_hash(obj) -> str:
-    """Stable short hash of a JSON-serializable configuration object."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def array_state_hash(arrays) -> str:

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,7 +228,7 @@ def make_pre_d_eval_outputs_attack_stage(out):
     Such a stage has no d_eval_outputs.npz and lists none, and its
     configuration has no clean_labels_sha256 entry.
     """
-    from tsadv.util import config_hash
+    from tsadv.config import config_hash
 
     os.remove(os.path.join(out, "attack", "d_eval_outputs.npz"))
     manifest = read_manifest(out, "attack")
@@ -400,7 +402,7 @@ class TestInvalidTrainingFlags:
 class TestInterruptedStage:
     def test_interrupted_attack_leaves_completed_stage(self, tmp_path, monkeypatch, capsys):
         """A stage that dies after writing some artifacts leaves the previous stage whole."""
-        import tsadv.cli as cli
+        import tsadv.evaluate as evaluate_module
         from tsadv.nn import load_model
 
         out = str(tmp_path / "run")
@@ -413,7 +415,7 @@ class TestInterruptedStage:
             raise RuntimeError("interrupted")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "save_reports_json", crash)
+            patch.setattr(evaluate_module, "save_reports_json", crash)
             with pytest.raises(RuntimeError, match="interrupted"):
                 run(*attack, "--epochs", "3")
         capsys.readouterr()
@@ -543,20 +545,22 @@ def write_two_power_datasets(tmp_path, monkeypatch):
     monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
 
 
+def write_reports(out, dataset, d_eval_count=3):
+    """A run directory holding only reports/reports.json: a white-box FCN report per split."""
+    from tsadv.evaluate import AttackReport, save_reports_json
+
+    os.makedirs(out / "reports")
+    reports = [AttackReport(dataset=dataset, box_mode="white", teacher_kind="fcn", beta=0.01,
+                            num_adversaries=k, mse_adversaries=0.25 if k else None,
+                            mse_all=0.125, split=split, criterion="labeled", n_evaluated=10)
+               for split, k in (("d_eval", d_eval_count), ("d_test", 0))]
+    save_reports_json(reports, out / "reports" / "reports.json")
+    return str(out)
+
+
 class TestReportPlotCsv:
     def test_dataset_name_with_a_comma_keeps_its_columns(self, tmp_path):
-        from tsadv.evaluate import AttackReport, save_reports_json
-
-        runs = []
-        for name in ("a,b", "Power"):
-            out = tmp_path / name
-            os.makedirs(out / "reports")
-            reports = [AttackReport(dataset=name, box_mode="white", teacher_kind="fcn", beta=0.01,
-                                    num_adversaries=k, mse_adversaries=0.25 if k else None,
-                                    mse_all=0.125, split=split, criterion="labeled",
-                                    n_evaluated=10) for split, k in (("d_eval", 3), ("d_test", 0))]
-            save_reports_json(reports, out / "reports" / "reports.json")
-            runs.append(str(out))
+        runs = [write_reports(tmp_path / name, name) for name in ("a,b", "Power")]
         report_dir = tmp_path / "summary"
         assert run("report", "--out", str(report_dir), "--runs", *runs) == 0
         for tag, k, mse_adv in (("counts", "3", "0.25"), ("generalization", "0", "")):
@@ -567,6 +571,104 @@ class TestReportPlotCsv:
             # an ordinary name is written as before, unquoted
             assert path.read_bytes().decode().splitlines()[2] == \
                 f"Power,white-fcn,0.01,{k},{mse_adv},0.125"
+
+
+class TestReportDuplicates:
+    """A Wilcoxon vector holds one d_eval count per dataset and variant; report
+    refuses a second one before it writes anything."""
+
+    def test_two_seeds_of_one_dataset(self, tmp_path, capsys):
+        runs = [write_reports(tmp_path / f"seed{seed}", "P", d_eval_count=k)
+                for seed, k in ((1, 3), (2, 5))]
+        report_dir = tmp_path / "summary"
+        assert run("report", "--out", str(report_dir), "--runs", *runs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "white-fcn on 'P'" in err
+        assert all(out in err for out in runs)
+        assert not report_dir.exists()
+
+    def test_all_betas_run_directory(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("evaluate", "--out", out, "--all-betas") == 0
+        report_dir = tmp_path / "summary"
+        capsys.readouterr()
+        assert run("report", "--out", str(report_dir), "--runs", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "black-dtw1nn on 'bumps'" in err and out in err
+        assert not report_dir.exists()
+
+
+class TestConfigEcho:
+    def test_damaged_echo_is_rebuilt_from_the_manifests(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert run("prepare", "--out", out, "--synthetic") == 0
+        path = os.path.join(out, "config.json")
+        with open(path, "r+b") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == {stage: read_manifest(out, stage)["config"]
+                                     for stage in ("prepare", "teacher")}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_interpreter(*args):
+    """Run ``python -X importtime *args`` in a new process.
+
+    Returns the exit code, stdout, stderr without the import-time lines, and
+    the names of every module the process imported.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    imported, err = set(), []
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            imported.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "\n".join(err), imported
+
+
+def imports_numpy(imported):
+    return any(name == "numpy" or name.startswith("numpy.") for name in imported)
+
+
+class TestEntryPoint:
+    """`python -m tsadv.cli` as a user runs it: a stage imports only what it runs."""
+
+    def test_import_leaves_numpy_out(self):
+        code, _, _, imported = fresh_interpreter("-c", "import tsadv.cli")
+        assert code == 0 and "tsadv.config" in imported
+        assert not imports_numpy(imported)
+
+    def test_up_to_date_stages_leave_numpy_out(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        for argv in (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
+                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
+                     ("evaluate",)):
+            code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", *argv, "--out", out)
+            assert code == 0 and "up to date" in stdout, argv
+            assert "tsadv.config" in imported and not imports_numpy(imported), argv
+
+    def test_dtw_teacher_stage_leaves_numpy_out(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        code, stdout, _, imported = fresh_interpreter(
+            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn",
+            "--seed-teacher", "1")
+        assert code == 0 and "up to date" not in stdout
+        assert read_manifest(out, "teacher")["config"]["seed_teacher"] == 1
+        assert not imports_numpy(imported)
+
+    def test_missing_stage_is_an_error_line(self, tmp_path):
+        out = str(tmp_path / "empty")
+        os.makedirs(out)
+        code, _, err, _ = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
+        assert code == 1
+        assert err.startswith("error:") and "tsadv attack" in err
 
 
 class TestBatch:
@@ -582,17 +684,17 @@ class TestBatch:
         assert splits == {"d_eval", "d_test"}
 
     def test_diverged_training_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
-        import tsadv.cli as cli
+        import tsadv.models as models
         from tsadv.nn import TrainingDivergedError
 
-        train_classifier = cli.train_classifier
+        train_classifier = models.train_classifier
 
         def diverge_on_power_b(model, dataset, hyper):
             if dataset.name == "PowerB":
                 raise TrainingDivergedError("non-finite loss nan in epoch 0")
             return train_classifier(model, dataset, hyper)
 
-        monkeypatch.setattr(cli, "train_classifier", diverge_on_power_b)
+        monkeypatch.setattr(models, "train_classifier", diverge_on_power_b)
         write_two_power_datasets(tmp_path, monkeypatch)
         single = str(tmp_path / "single")
         assert run("prepare", "--out", single, "--dataset", "PowerB") == 0
@@ -607,16 +709,16 @@ class TestBatch:
         assert {r["dataset"] for r in report["reports"]} == {"PowerA"}
 
     def test_unexpected_error_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
-        import tsadv.cli as cli
+        import tsadv.models as models
 
-        train_classifier = cli.train_classifier
+        train_classifier = models.train_classifier
 
         def crash_on_power_a(model, dataset, hyper):
             if dataset.name == "PowerA":
                 raise RuntimeError("disk on fire")
             return train_classifier(model, dataset, hyper)
 
-        monkeypatch.setattr(cli, "train_classifier", crash_on_power_a)
+        monkeypatch.setattr(models, "train_classifier", crash_on_power_a)
         write_two_power_datasets(tmp_path, monkeypatch)
         out_root = str(tmp_path / "runs")
         assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
