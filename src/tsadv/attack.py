@@ -10,7 +10,7 @@ maximum and the row renormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,13 +24,12 @@ from .nn import Network, fit, input_gradient_with_probs, l2
 
 @dataclass
 class AttackRun:
-    """One trained attack: configuration, frozen surrogate, generator, provenance."""
+    """One trained attack: configuration, frozen surrogate and generator."""
 
     config: AttackConfig
     surrogate: Network
     gatn: Network
     surrogate_is_teacher: bool
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.surrogate_is_teacher and not attacks_teacher(self.config.box_mode,
@@ -80,7 +79,7 @@ def gatn_loss(x, x_hat, y_clean: np.ndarray, y_adv, config: AttackConfig):
 
 
 def make_attack_run(config: AttackConfig, input_length: int, teacher_model: Network | None,
-                    student: Network | None, provenance: dict | None = None) -> AttackRun:
+                    student: Network | None) -> AttackRun:
     """Build an untrained generator and wire it to the routed surrogate."""
     surrogate, is_teacher = select_surrogate(config.box_mode, config.teacher_kind,
                                              teacher_model, student)
@@ -88,8 +87,7 @@ def make_attack_run(config: AttackConfig, input_length: int, teacher_model: Netw
         input_length=input_length, num_classes=2, architecture="gatn",
         gatn_hidden_units=tuple(config.gatn_hidden_units), seed=config.seed))
     surrogate.set_requires_grad(False)
-    return AttackRun(config=config, surrogate=surrogate, gatn=gatn,
-                     surrogate_is_teacher=is_teacher, provenance=dict(provenance or {}))
+    return AttackRun(config, surrogate, gatn, surrogate_is_teacher=is_teacher)
 
 
 def surrogate_signal(surrogate: Network, x: np.ndarray, target_class: int,
@@ -159,8 +157,7 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
 
 def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
                      teacher_model: Network | None = None, student: Network | None = None,
-                     betas: tuple[float, ...] = BETA_GRID, provenance: dict | None = None,
-                     pred_clean: np.ndarray | None = None):
+                     betas: tuple[float, ...] = BETA_GRID, pred_clean: np.ndarray | None = None):
     """Train one generator per beta, score each on the real teacher, pick the best.
 
     ``pred_clean`` is the teacher's label for each d_eval series, queried here
@@ -183,8 +180,7 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
     signal = None
     for beta in betas:
         config = replace(base_config, beta=beta)
-        run = make_attack_run(config, input_length=x.shape[1], teacher_model=teacher_model,
-                              student=student, provenance=provenance)
+        run = make_attack_run(config, x.shape[1], teacher_model, student)
         if signal is None:
             signal = surrogate_signal(run.surrogate, x, config.target_class,
                                       run.gatn.parameters()[0].dtype)
@@ -192,9 +188,8 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
         x_hat = generate(run, x, signal)
         pred_adv = teacher.predict_labels(x_hat)
         report = count_adversaries_labeled(
-            teacher, x, x_hat, d_eval.labels, dataset=d_eval.name, box_mode=config.box_mode,
-            teacher_kind=config.teacher_kind, beta=beta, split="d_eval", pred_clean=pred_clean,
-            pred_adv=pred_adv)
+            x, x_hat, d_eval.labels, pred_clean, pred_adv, dataset=d_eval.name,
+            box_mode=config.box_mode, teacher_kind=config.teacher_kind, beta=beta, split="d_eval")
         runs.append(run)
         reports.append(report)
         x_hats.append(x_hat)

@@ -64,9 +64,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self.dtype))
 
@@ -78,21 +75,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, -_wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), -self)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(value, dtype) -> Tensor:

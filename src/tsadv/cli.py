@@ -73,11 +73,17 @@ _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": 
 
 def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
     path = os.path.join(out, stage, "manifest.json")
+    command = _STAGE_COMMANDS[stage]
     if not os.path.exists(path):
-        command = _STAGE_COMMANDS[stage]
         raise MissingArtifactError(
             f"{needed_by} needs the {stage} stage; run `tsadv {command}` first (missing {path})")
-    return _read_json(path)
+    manifest = _read_json(path)
+    for name in manifest.get("files", []):
+        if not os.path.exists(os.path.join(out, stage, name)):
+            raise MissingArtifactError(
+                f"{needed_by} needs {os.path.join(out, stage, name)}, which the {stage} stage "
+                f"lists but lacks; rerun `tsadv {command}` first")
+    return manifest
 
 
 def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) -> None:
@@ -163,6 +169,9 @@ def cmd_prepare(args) -> int:
             delimiter = DELIMITERS[args.delimiter]
             teacher_train = remap_labels(load_ucr(train_file, delimiter))
             pool = remap_labels(load_ucr(test_file, delimiter))
+            if teacher_train.label_map != pool.label_map:  # each file was remapped alone
+                raise ValueError(f"train file labels {sorted(teacher_train.label_map)} differ "
+                                 f"from test file labels {sorted(pool.label_map)}")
             target_len = max(max(len(s) for s in teacher_train.series),
                              max(len(s) for s in pool.series))
             teacher_train = preprocess_dataset(teacher_train, target_len, znorm=args.znorm)
@@ -350,15 +359,15 @@ def cmd_attack(args) -> int:
         if reuse_labels:
             with np.load(labels_path) as saved:
                 pred_clean = saved["hard_labels"]
-        provenance = {"dataset": d_eval.name, "out": out}
         runs, reports, best, outputs = beta_grid_search(
             base, d_eval, teacher, teacher_model=teacher_model, student=student_model,
-            betas=tuple(betas), provenance=provenance, pred_clean=pred_clean)
+            betas=tuple(betas), pred_clean=pred_clean)
         gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
         for run, fname in zip(runs, gatn_files):
             save_model(run.gatn, os.path.join(stage, fname))
         np.savez(os.path.join(stage, D_EVAL_OUTPUTS), **outputs)
-        save_reports_json(reports, os.path.join(stage, "grid_reports.json"), provenance=provenance)
+        save_reports_json(reports, os.path.join(stage, "grid_reports.json"),
+                          provenance={"dataset": d_eval.name, "out": out})
         print(f"[attack] best beta {betas[best]:.0e}: "
               f"{reports[best].num_adversaries}/{reports[best].n_evaluated} d_eval adversaries")
         return {"betas": betas, "gatn_files": gatn_files, "best_index": best,
@@ -422,15 +431,15 @@ def cmd_evaluate(args) -> int:
             if test_signal is None:
                 test_signal = surrogate_signal(run.surrogate, d_test.values, config.target_class,
                                                run.gatn.parameters()[0].dtype)
-            kwargs = dict(dataset=d_eval.name, box_mode=config.box_mode,
-                          teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval",
-                          pred_clean=eval_clean, pred_adv=eval_adv[i])
+            meta = dict(dataset=d_eval.name, box_mode=config.box_mode,
+                        teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval")
             if args.criterion == "labeled":
-                reports.append(count_adversaries_labeled(teacher, d_eval.values, eval_x_hat[i],
-                                                         d_eval.labels, **kwargs))
+                reports.append(count_adversaries_labeled(d_eval.values, eval_x_hat[i],
+                                                         d_eval.labels, eval_clean, eval_adv[i],
+                                                         **meta))
             else:
-                reports.append(count_adversaries_unlabeled(teacher, d_eval.values, eval_x_hat[i],
-                                                           **kwargs))
+                reports.append(count_adversaries_unlabeled(d_eval.values, eval_x_hat[i],
+                                                           eval_clean, eval_adv[i], **meta))
             reports.append(generalization_eval(run, teacher, d_test, args.criterion,
                                                signal=test_signal, pred_clean=test_clean))
         save_reports_csv(reports, os.path.join(stage, "reports.csv"))

@@ -15,45 +15,19 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries
-from .util import readonly, softmax_np
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Pairwise distances of an evaluation set (rows) vs a reference set (columns)."""
-
-    values: np.ndarray
-    train_labels: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        labels = np.asarray(self.train_labels, dtype=np.int64)
-        if v.ndim != 2:
-            raise ValueError("distance matrix must be 2-D")
-        if labels.ndim != 1 or labels.shape[0] != v.shape[1]:
-            raise ValueError("train_labels length must match the number of columns")
-        if not np.isfinite(v).all() or (v < 0).any():
-            raise ValueError("distances must be finite and nonnegative")
-        object.__setattr__(self, "values", readonly(v))
-        object.__setattr__(self, "train_labels", readonly(labels))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+from .util import softmax_np
 
 
 def _as_values(series) -> np.ndarray:
-    v = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
+    v = np.asarray(series, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValueError("series must be a nonempty 1-D array")
     if not np.isfinite(v).all():
         raise ValueError("series contains non-finite values")
-    return v.astype(np.float64, copy=False)
+    return v
 
 
 def dtw_distance(q, c) -> float:
@@ -129,26 +103,25 @@ def dtw_pairwise(eval_values: np.ndarray, ref_values: np.ndarray,
     return np.concatenate(parts)
 
 
-def nn1_classify(v: DistanceMatrix) -> np.ndarray:
-    """Per row, the train label of the minimum-distance column (ties: lowest index)."""
-    return v.train_labels[np.argmin(v.values, axis=1)]
+def nn1_classify(distances: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row of distances [N, M], the label of the nearest reference (ties: lowest index)."""
+    return labels[np.argmin(distances, axis=1)]
 
 
-def soft_1nn(v: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilistic equivalent of 1-NN on a distance matrix.
+def soft_1nn(distances: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilistic equivalent of 1-NN on distances [N, M] to references labeled [M].
 
     Negate the distances, take the per-class column-wise maximum to build an
     [N, C] score matrix, softmax each row, argmax for the labels. The argmax
     matches :func:`nn1_classify` whenever the row minimum is unique.
     """
-    labels = v.train_labels
     num_classes = int(labels.max()) + 1
     present = np.unique(labels)
     if not np.array_equal(present, np.arange(num_classes)):
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
-        raise ValueError(f"classes {missing} absent from train_labels")
-    neg = -v.values
+        raise ValueError(f"classes {missing} absent from the reference labels")
+    neg = -distances
     scores = np.stack([neg[:, labels == c].max(axis=1) for c in range(num_classes)], axis=1)
-    probs = softmax_np(scores, temperature=1.0, axis=1)
+    probs = softmax_np(scores, axis=1)
     return probs, np.argmax(probs, axis=1)
 

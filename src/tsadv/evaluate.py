@@ -48,77 +48,47 @@ class AttackReport:
         if self.num_adversaries == 0 and self.mse_adversaries is not None:
             raise ValueError("mse_adversaries is undefined when no adversary was counted")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackReport":
-        return cls(**d)
-
-
-def _per_sample_mse(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
+def _build_report(x: np.ndarray, x_hat: np.ndarray, adversaries: np.ndarray, *, criterion: str,
+                  dataset: str = "", box_mode: str = "", teacher_kind: str = "",
+                  beta: float = 0.0, split: str = "d_eval") -> AttackReport:
+    """The report on x_hat [N, T] crafted from x, counting the rows ``adversaries`` marks."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
+    if x.shape[0] == 0:
+        raise ValueError("no samples to evaluate")
     if x.shape != x_hat.shape:
         raise ValueError(f"shapes differ: {x.shape} vs {x_hat.shape}")
-    return ((x_hat - x) ** 2).mean(axis=1)
-
-
-def _build_report(adversary_mask: np.ndarray, mse: np.ndarray, *, dataset: str,
-                  box_mode: str, teacher_kind: str, beta: float, split: str,
-                  criterion: str) -> AttackReport:
-    count = int(adversary_mask.sum())
+    mse = ((x_hat - x) ** 2).mean(axis=1)
+    count = int(adversaries.sum())
     return AttackReport(
         dataset=dataset, box_mode=box_mode, teacher_kind=teacher_kind, beta=beta,
-        num_adversaries=count,
-        mse_adversaries=float(mse[adversary_mask].mean()) if count else None,
-        mse_all=float(mse.mean()), split=split, criterion=criterion,
-        n_evaluated=int(mse.shape[0]))
+        num_adversaries=count, mse_adversaries=float(mse[adversaries].mean()) if count else None,
+        mse_all=float(mse.mean()), split=split, criterion=criterion, n_evaluated=int(mse.shape[0]))
 
 
-def count_adversaries_labeled(teacher, x: np.ndarray, x_hat: np.ndarray, y_true: np.ndarray,
-                              *, dataset: str = "", box_mode: str = "", teacher_kind: str = "",
-                              beta: float = 0.0, split: str = "d_eval",
-                              pred_clean: np.ndarray | None = None,
-                              pred_adv: np.ndarray | None = None) -> AttackReport:
+def count_adversaries_labeled(x: np.ndarray, x_hat: np.ndarray, y_true: np.ndarray,
+                              pred_clean: np.ndarray, pred_adv: np.ndarray,
+                              **meta) -> AttackReport:
     """Two-fold verification: clean prediction correct AND flipped by x_hat.
 
     ``pred_clean`` and ``pred_adv`` are the teacher's labels for each row of
-    ``x`` and ``x_hat``, queried here when not given.
+    ``x`` and ``x_hat``; ``meta`` fills the report's dataset, box_mode,
+    teacher_kind, beta and split.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("no samples to evaluate")
-    y_true = np.asarray(y_true, dtype=np.int64)
-    if pred_clean is None:
-        pred_clean = teacher.predict_labels(x)
-    if pred_adv is None:
-        pred_adv = teacher.predict_labels(x_hat)
-    mask = (pred_clean == y_true) & (pred_adv != pred_clean)
-    return _build_report(mask, _per_sample_mse(x, x_hat), dataset=dataset, box_mode=box_mode,
-                         teacher_kind=teacher_kind, beta=beta, split=split, criterion="labeled")
+    y_true, pred_clean = np.asarray(y_true, dtype=np.int64), np.asarray(pred_clean)
+    mask = (pred_clean == y_true) & (np.asarray(pred_adv) != pred_clean)
+    return _build_report(x, x_hat, mask, criterion="labeled", **meta)
 
 
-def count_adversaries_unlabeled(teacher, x: np.ndarray, x_hat: np.ndarray, *, dataset: str = "",
-                                box_mode: str = "", teacher_kind: str = "", beta: float = 0.0,
-                                split: str = "d_eval", pred_clean: np.ndarray | None = None,
-                                pred_adv: np.ndarray | None = None) -> AttackReport:
+def count_adversaries_unlabeled(x: np.ndarray, x_hat: np.ndarray, pred_clean: np.ndarray,
+                                pred_adv: np.ndarray, **meta) -> AttackReport:
     """Clean predictions are pseudo-labels; any flip counts.
 
-    ``pred_clean`` and ``pred_adv`` are as in :func:`count_adversaries_labeled`.
+    Arguments are as in :func:`count_adversaries_labeled`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    x_hat = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("no samples to evaluate")
-    if pred_clean is None:
-        pred_clean = teacher.predict_labels(x)
-    if pred_adv is None:
-        pred_adv = teacher.predict_labels(x_hat)
-    mask = pred_adv != pred_clean
-    return _build_report(mask, _per_sample_mse(x, x_hat), dataset=dataset, box_mode=box_mode,
-                         teacher_kind=teacher_kind, beta=beta, split=split, criterion="unlabeled")
+    mask = np.asarray(pred_adv) != np.asarray(pred_clean)
+    return _build_report(x, x_hat, mask, criterion="unlabeled", **meta)
 
 
 def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled",
@@ -128,7 +98,8 @@ def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled
 
     ``signal`` (``attack.surrogate_signal`` of ``d_test``) and ``pred_clean``
     (the teacher's labels of ``d_test``) are computed here when not given,
-    so that every generator evaluated on the split can share one of each.
+    so that every generator evaluated on the split can share one of each;
+    the teacher's labels of the crafted series are always queried here.
     Generator and surrogate state are hashed before and after; any drift is
     an error, since generation must be a pure forward pass.
     """
@@ -139,13 +110,15 @@ def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
     x_hat = generate(run, x, signal)
-    kwargs = dict(dataset=d_test.name, box_mode=run.config.box_mode,
-                  teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test",
-                  pred_clean=pred_clean)
+    if pred_clean is None:
+        pred_clean = teacher.predict_labels(x)
+    pred_adv = teacher.predict_labels(x_hat)
+    meta = dict(dataset=d_test.name, box_mode=run.config.box_mode,
+                teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test")
     if criterion == "labeled":
-        report = count_adversaries_labeled(teacher, x, x_hat, d_test.labels, **kwargs)
+        report = count_adversaries_labeled(x, x_hat, d_test.labels, pred_clean, pred_adv, **meta)
     else:
-        report = count_adversaries_unlabeled(teacher, x, x_hat, **kwargs)
+        report = count_adversaries_unlabeled(x, x_hat, pred_clean, pred_adv, **meta)
     after = (run.gatn.state_hash(), run.surrogate.state_hash())
     if before != after:
         raise RuntimeError("model parameters changed during test-split evaluation")
@@ -254,7 +227,7 @@ def save_reports_csv(reports: list[AttackReport], path: str | os.PathLike) -> No
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for r in reports:
-            row = r.to_dict()
+            row = asdict(r)
             row["mse_adversaries"] = "" if row["mse_adversaries"] is None else repr(row["mse_adversaries"])
             row["mse_all"] = repr(row["mse_all"])
             row["beta"] = repr(row["beta"])
@@ -263,7 +236,7 @@ def save_reports_csv(reports: list[AttackReport], path: str | os.PathLike) -> No
 
 def save_reports_json(reports: list[AttackReport], path: str | os.PathLike,
                       provenance: dict | None = None) -> None:
-    blob = {"provenance": provenance or {}, "reports": [r.to_dict() for r in reports]}
+    blob = {"provenance": provenance or {}, "reports": [asdict(r) for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2)
 
@@ -271,7 +244,7 @@ def save_reports_json(reports: list[AttackReport], path: str | os.PathLike,
 def load_reports_json(path: str | os.PathLike) -> tuple[list[AttackReport], dict]:
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    return [AttackReport.from_dict(d) for d in blob["reports"]], blob["provenance"]
+    return [AttackReport(**d) for d in blob["reports"]], blob["provenance"]
 
 
 def pairwise_wilcoxon(values_by_variant: dict[str, np.ndarray | list[float]]) -> list[dict]:

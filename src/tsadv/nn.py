@@ -252,12 +252,10 @@ class Network:
         return array_state_hash(self.state_arrays())
 
 
-def predict(model: Network, x: np.ndarray, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-mode logits and temperature-scaled softmax probabilities."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-mode logits and softmax probabilities."""
     logits = model.forward(Tensor(np.asarray(x)), training=False).data
-    return logits, softmax_np(logits, temperature=temperature, axis=1)
+    return logits, softmax_np(logits, axis=1)
 
 
 def input_gradient_with_probs(model: Network, x: np.ndarray,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .dtw import DistanceMatrix, dtw_pairwise, nn1_classify, soft_1nn
+from .dtw import dtw_pairwise, nn1_classify, soft_1nn
 from .models import as_conv_input
 from .nn import Network, predict
 from .util import readonly
@@ -75,15 +75,14 @@ class DTW1NNTeacher(Teacher):
     def num_classes(self) -> int:
         return int(self.ref_labels.max()) + 1
 
-    def distance_matrix(self, x: np.ndarray) -> DistanceMatrix:
-        return DistanceMatrix(values=dtw_pairwise(np.atleast_2d(x), self.ref_values),
-                              train_labels=self.ref_labels)
+    def distance_matrix(self, x: np.ndarray) -> np.ndarray:
+        return dtw_pairwise(np.atleast_2d(x), self.ref_values)
 
     def predict_labels(self, x):
         self.calls["predict_labels"] += 1
-        return nn1_classify(self.distance_matrix(x))
+        return nn1_classify(self.distance_matrix(x), self.ref_labels)
 
     def predict_proba(self, x):
         self.calls["predict_proba"] += 1
-        probs, _ = soft_1nn(self.distance_matrix(x))
+        probs, _ = soft_1nn(self.distance_matrix(x), self.ref_labels)
         return probs

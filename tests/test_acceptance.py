@@ -27,7 +27,7 @@ from tsadv.attack import (
 from tsadv.autodiff import Tensor
 from tsadv.data import Dataset, TimeSeries, load_ucr, remap_labels, stratified_split
 from tsadv.distill import DistillConfig, teacher_outputs, train_student, student_fidelity
-from tsadv.dtw import DistanceMatrix, dtw_distance, nn1_classify, soft_1nn
+from tsadv.dtw import dtw_distance, nn1_classify, soft_1nn
 from tsadv.evaluate import generalization_eval, wilcoxon_signed_rank
 from tsadv.models import (
     ArchitectureConfig,
@@ -185,10 +185,9 @@ def test_criterion_02_soft_1nn_equivalence():
             values = rng.uniform(1.0, 10.0, size=(n_test, n_train))
             for row in values:
                 row[rng.integers(0, n_train)] = rng.uniform(0.0, 0.5)
-            dm = DistanceMatrix(values=values, train_labels=labels)
-            probs, soft_labels = soft_1nn(dm)
+            probs, soft_labels = soft_1nn(values, labels)
             assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
-            assert np.array_equal(soft_labels, nn1_classify(dm))
+            assert np.array_equal(soft_labels, nn1_classify(values, labels))
         assert time.time() - start < 10.0
 
 

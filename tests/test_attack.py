@@ -306,7 +306,7 @@ class TestBetaGridSearch:
         outcome = {1e-1: (3, 0.5), 1e-2: (3, 0.4), 1e-3: (3, 0.1), 1e-4: (3, 0.3),
                    1e-5: (2, 0.01)}
 
-        def fake_count(teacher, x, x_hat, y_true, *, beta, **kwargs):
+        def fake_count(x, x_hat, y_true, pred_clean, pred_adv, *, beta, **kwargs):
             count, mse = outcome[beta]
             return AttackReport(dataset="d", box_mode="white", teacher_kind="fcn", beta=beta,
                                 num_adversaries=count, mse_adversaries=mse, mse_all=mse,

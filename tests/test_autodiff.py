@@ -625,11 +625,6 @@ class TestForwardPurityAndSerialization:
         x = np.random.default_rng(0).normal(size=(3, 1, 8)).astype(np.float32)
         assert np.array_equal(predict(net, x)[0], predict(back, x)[0])
 
-    def test_predict_temperature_validation(self):
-        net = Network([Dense(2, 2, dtype=np.float64)], rng_seed=0)
-        with pytest.raises(ValueError, match="temperature"):
-            predict(net, np.zeros((1, 2)), temperature=0.0)
-
     def test_shape_error_names_layer(self):
         net = Network([Flatten(), Dense(4, 2, dtype=np.float64)], rng_seed=0)
         with pytest.raises(ValueError, match=r"layer 1 \(dense\)"):

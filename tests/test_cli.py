@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -171,13 +172,14 @@ def recounted_reports(out, criterion, all_betas):
         for split_name, ds in (("d_eval", d_eval), ("d_test", d_test)):
             x = ds.values
             x_hat = generate(attack_run, x)
+            pred_clean, pred_adv = teacher.predict_labels(x), teacher.predict_labels(x_hat)
             if criterion == "labeled":
-                reports.append(count_adversaries_labeled(teacher, x, x_hat, ds.labels,
-                                                         split=split_name, **kwargs))
+                reports.append(count_adversaries_labeled(x, x_hat, ds.labels, pred_clean,
+                                                         pred_adv, split=split_name, **kwargs))
             else:
-                reports.append(count_adversaries_unlabeled(teacher, x, x_hat, split=split_name,
-                                                           **kwargs))
-    return [r.to_dict() for r in reports]
+                reports.append(count_adversaries_unlabeled(x, x_hat, pred_clean, pred_adv,
+                                                           split=split_name, **kwargs))
+    return [asdict(r) for r in reports]
 
 
 class TestEvaluateParity:
@@ -191,7 +193,7 @@ class TestEvaluateParity:
         flags = ["--criterion", criterion] + (["--all-betas"] if all_betas else [])
         assert run("evaluate", "--out", out, *flags) == 0
         reports, _ = load_reports_json(os.path.join(out, "reports", "reports.json"))
-        assert [r.to_dict() for r in reports] == recounted_reports(out, criterion, all_betas)
+        assert [asdict(r) for r in reports] == recounted_reports(out, criterion, all_betas)
         if criterion == "labeled" and all_betas:
             grid, _ = load_reports_json(os.path.join(out, "attack", "grid_reports.json"))
             assert [r for r in reports if r.split == "d_eval"] == grid
@@ -291,6 +293,29 @@ class TestAttackOutputsUpToDate:
         capsys.readouterr()
         assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
         assert "tsadv distill" in capsys.readouterr().err
+
+
+class TestMissingListedFile:
+    """An upstream stage missing a file its manifest lists is refused with an error line."""
+
+    def test_attack_refuses_student_without_teacher_outputs(self, black_dtw_run, tmp_path,
+                                                             capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        os.remove(os.path.join(out, "student", "teacher_outputs.npz"))
+        capsys.readouterr()
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "teacher_outputs.npz" in err and "tsadv distill" in err
+
+    def test_evaluate_refuses_student_without_its_network(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        os.remove(os.path.join(out, "student", "student.npz"))
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "student.npz" in err and "tsadv distill" in err
 
 
 class TestErrors:
@@ -505,6 +530,23 @@ class TestArchiveLayout:
         assert run(*prepare) == 0
         assert "up to date" not in capsys.readouterr().out
         assert open(d_eval).read() != before
+
+    def test_train_and_test_label_sets_must_match(self, tmp_path, capsys):
+        """Each file is remapped alone, so a class missing from one would shift the other's."""
+        rng = np.random.default_rng(0)
+        train, test = tmp_path / "Odd_TRAIN.tsv", tmp_path / "Odd_TEST.tsv"
+        for path, labels in ((train, (1, 2, 3)), (test, (1, 3))):
+            rows = ["\t".join([str(label)] + [f"{v:.6f}" for v in rng.normal(size=8)])
+                    for label in labels for _ in range(4)]
+            path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("prepare", "--out", str(out), "--train-file", str(train),
+                   "--test-file", str(test)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[1, 2, 3]" in err and "[1, 3]" in err
+        assert not (out / "prepare").exists()
+        assert not (out / ".prepare.partial").exists()
 
     def test_missing_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSADV_UCR_ROOT", raising=False)

@@ -3,7 +3,6 @@ import pytest
 
 from tsadv.data import Dataset, TimeSeries
 from tsadv.dtw import (
-    DistanceMatrix,
     dtw_distance,
     dtw_pairwise,
     nn1_classify,
@@ -120,8 +119,7 @@ class TestDistanceMatrix:
     def test_zero_diagonal_when_eval_is_ref(self):
         rng = np.random.default_rng(2)
         ds = dataset_from_matrix(rng.normal(size=(5, 6)), labels=np.zeros(5))
-        dm = DistanceMatrix(values=dtw_pairwise(ds.values, ds.values), train_labels=ds.labels)
-        assert np.array_equal(np.diag(dm.values), np.zeros(5))
+        assert np.array_equal(np.diag(dtw_pairwise(ds.values, ds.values)), np.zeros(5))
 
     def test_single_pair(self):
         q, c = [1.0, 2.0], [2.0, 4.0]
@@ -173,51 +171,38 @@ class TestDistanceMatrix:
         ref = rng.normal(size=(67, 10))
         assert np.array_equal(dtw_pairwise(ev, ref, processes=2), row_by_row_matrix(ev, ref))
 
-    def test_matrix_invariants_enforced(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            DistanceMatrix(values=np.array([[-1.0]]), train_labels=np.array([0]))
-        with pytest.raises(ValueError, match="columns"):
-            DistanceMatrix(values=np.zeros((2, 3)), train_labels=np.array([0, 1]))
-
 
 class TestNN1:
     def test_argmin_label(self):
-        dm = DistanceMatrix(values=np.array([[3.0, 1.0, 2.0]]), train_labels=np.array([0, 0, 1]))
-        assert nn1_classify(dm).tolist() == [0]
+        assert nn1_classify(np.array([[3.0, 1.0, 2.0]]), np.array([0, 0, 1])).tolist() == [0]
 
     def test_tie_break_lowest_index(self):
-        dm = DistanceMatrix(values=np.array([[1.0, 1.0]]), train_labels=np.array([0, 1]))
-        assert nn1_classify(dm).tolist() == [0]
+        assert nn1_classify(np.array([[1.0, 1.0]]), np.array([0, 1])).tolist() == [0]
 
     def test_zero_distance_wins(self):
-        dm = DistanceMatrix(values=np.array([[0.0, 5.0]]), train_labels=np.array([1, 0]))
-        assert nn1_classify(dm).tolist() == [1]
+        assert nn1_classify(np.array([[0.0, 5.0]]), np.array([1, 0])).tolist() == [1]
 
 
 class TestSoft1NN:
     def test_two_columns(self):
-        dm = DistanceMatrix(values=np.array([[0.0, 1.0]]), train_labels=np.array([0, 1]))
-        probs, labels = soft_1nn(dm)
+        probs, labels = soft_1nn(np.array([[0.0, 1.0]]), np.array([0, 1]))
         assert probs[0] == pytest.approx([0.7310585786300049, 0.2689414213699951], abs=1e-12)
         assert labels.tolist() == [0]
 
     def test_per_class_max_then_softmax(self):
-        dm = DistanceMatrix(values=np.array([[3.0, 1.0, 2.0]]), train_labels=np.array([0, 0, 1]))
-        probs, labels = soft_1nn(dm)
+        probs, labels = soft_1nn(np.array([[3.0, 1.0, 2.0]]), np.array([0, 0, 1]))
         # per-class maxima of -V are [-1, -2]
         assert probs[0] == pytest.approx([0.7310585786300049, 0.2689414213699951], abs=1e-12)
         assert labels.tolist() == [0]
 
     def test_tie_gives_half_half(self):
-        dm = DistanceMatrix(values=np.array([[1.0, 1.0]]), train_labels=np.array([0, 1]))
-        probs, labels = soft_1nn(dm)
+        probs, labels = soft_1nn(np.array([[1.0, 1.0]]), np.array([0, 1]))
         assert probs[0] == pytest.approx([0.5, 0.5], abs=1e-12)
         assert labels.tolist() == [0]
 
     def test_missing_class_rejected(self):
-        dm = DistanceMatrix(values=np.array([[1.0, 2.0]]), train_labels=np.array([0, 2]))
         with pytest.raises(ValueError, match=r"classes \[1\] absent"):
-            soft_1nn(dm)
+            soft_1nn(np.array([[1.0, 2.0]]), np.array([0, 2]))
 
     def test_equivalence_with_nn1_randomized(self):
         rng = np.random.default_rng(99)
@@ -234,10 +219,10 @@ class TestSoft1NN:
             for row in values:
                 i = rng.integers(0, n_train)
                 row[i] = -1.0 + rng.uniform(0, 0.5)
-            dm = DistanceMatrix(values=values - values.min() + 0.001, train_labels=labels)
-            probs, soft_labels = soft_1nn(dm)
+            distances = values - values.min() + 0.001
+            probs, soft_labels = soft_1nn(distances, labels)
             assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
             assert (probs >= 0).all()
-            if np.array_equal(soft_labels, nn1_classify(dm)):
+            if np.array_equal(soft_labels, nn1_classify(distances, labels)):
                 agreements += 1
         assert agreements == trials

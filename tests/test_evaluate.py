@@ -29,22 +29,13 @@ def load_reports_csv(path):
             n_evaluated=int(row["n_evaluated"])) for row in csv.DictReader(fh)]
 
 
-class StubTeacher:
-    """Classifies by the sign of the first element; counts calls."""
-
-    kind = "stub"
-
-    def __init__(self):
-        self.calls = {"predict_labels": 0, "predict_proba": 0}
-
-    def predict_labels(self, x):
-        self.calls["predict_labels"] += 1
-        return (np.asarray(x)[:, 0] > 0).astype(np.int64)
+def stub_labels(x):
+    """A stub teacher's labels: the sign of each row's first element."""
+    return (np.asarray(x)[:, 0] > 0).astype(np.int64)
 
 
 class TestLabeledCounting:
     def test_three_cases_of_the_two_fold_rule(self):
-        teacher = StubTeacher()
         x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         x_hat = np.array([
             [-1.0, 0.0],  # flipped but clean prediction (1) != y_true (0): not counted
@@ -52,57 +43,55 @@ class TestLabeledCounting:
             [-1.0, 0.0],  # clean correct, flipped: counted
         ])
         y_true = np.array([0, 1, 1])
-        report = count_adversaries_labeled(teacher, x, x_hat, y_true)
+        report = count_adversaries_labeled(x, x_hat, y_true, stub_labels(x), stub_labels(x_hat))
         assert report.num_adversaries == 1
         assert report.n_evaluated == 3
 
     def test_mse_fields(self):
-        teacher = StubTeacher()
         x = np.array([[1.0, 0.0], [1.0, 0.0]])
         x_hat = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        report = count_adversaries_labeled(teacher, x, x_hat, np.array([1, 1]))
+        report = count_adversaries_labeled(x, x_hat, np.array([1, 1]), stub_labels(x),
+                                           stub_labels(x_hat))
         assert report.num_adversaries == 1
         assert report.mse_adversaries == pytest.approx(2.0)  # (2^2 + 0)/2 on the counted row
         assert report.mse_all == pytest.approx(1.0)
 
     def test_zero_count_mse_is_none(self):
-        teacher = StubTeacher()
         x = np.array([[1.0, 0.0]])
-        report = count_adversaries_labeled(teacher, x, x, np.array([1]))
+        report = count_adversaries_labeled(x, x, np.array([1]), stub_labels(x), stub_labels(x))
         assert report.num_adversaries == 0
         assert report.mse_adversaries is None
         assert report.mse_all == 0.0
 
     def test_empty_rejected(self):
+        empty = np.zeros((0, 3))
         with pytest.raises(ValueError, match="no samples"):
-            count_adversaries_labeled(StubTeacher(), np.zeros((0, 3)), np.zeros((0, 3)),
-                                      np.zeros(0, dtype=int))
+            count_adversaries_labeled(empty, empty, np.zeros(0, dtype=int), stub_labels(empty),
+                                      stub_labels(empty))
 
 
 class TestUnlabeledCounting:
     def test_no_flips_counts_zero(self):
-        teacher = StubTeacher()
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        report = count_adversaries_unlabeled(teacher, x, x)
+        report = count_adversaries_unlabeled(x, x, stub_labels(x), stub_labels(x))
         assert report.num_adversaries == 0
 
     def test_single_flip_counts_one(self):
-        teacher = StubTeacher()
         x = np.array([[1.0, 0.0]])
-        report = count_adversaries_unlabeled(teacher, x, np.array([[-1.0, 0.0]]))
+        x_hat = np.array([[-1.0, 0.0]])
+        report = count_adversaries_unlabeled(x, x_hat, stub_labels(x), stub_labels(x_hat))
         assert report.num_adversaries == 1
         assert report.criterion == "unlabeled"
 
     def test_unlabeled_superset_of_labeled(self):
         rng = np.random.default_rng(0)
-        teacher = StubTeacher()
         for _ in range(50):
             n = int(rng.integers(1, 30))
             x = rng.normal(size=(n, 4))
             x_hat = x + rng.normal(0, 1.0, size=(n, 4))
             y = rng.integers(0, 2, n)
-            labeled = count_adversaries_labeled(teacher, x, x_hat, y)
-            unlabeled = count_adversaries_unlabeled(teacher, x, x_hat)
+            labeled = count_adversaries_labeled(x, x_hat, y, stub_labels(x), stub_labels(x_hat))
+            unlabeled = count_adversaries_unlabeled(x, x_hat, stub_labels(x), stub_labels(x_hat))
             assert labeled.num_adversaries <= unlabeled.num_adversaries
 
 
