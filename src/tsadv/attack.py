@@ -20,6 +20,7 @@ from .config import BETA_GRID, AttackConfig, attacks_teacher
 from .data import Dataset
 from .models import ArchitectureConfig, as_conv_input, build_gatn
 from .nn import Network, fit, input_gradient_with_probs, l2
+from .teachers import FCNTeacher
 
 
 @dataclass
@@ -91,21 +92,38 @@ def make_attack_run(config: AttackConfig, input_length: int, teacher_model: Netw
 
 
 def surrogate_signal(surrogate: Network, x: np.ndarray, target_class: int,
-                     dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
+                     dtype=np.float32) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The generator's gradient input and the clean prediction for each series.
 
-    Returns (x_tilde, y_clean): the gradient of the frozen surrogate's
+    Returns (x_tilde, y_clean, logits): the gradient of the frozen surrogate's
     target-class probability with respect to each series of ``x`` [N, T],
-    cast to ``dtype``, and the surrogate's class probabilities [N, C]. The
-    surrogate runs in inference mode, so each row depends on its own series
-    only and one pass serves every generator trained or run on ``x``.
+    cast to ``dtype``, the dtype the surrogate was fed; the surrogate's class
+    probabilities [N, C]; and the logits [N, C] they came from. The surrogate
+    runs in inference mode, so each row depends on its own series only and
+    one pass serves every generator trained or run on ``x``.
     """
-    grad3, y_clean = input_gradient_with_probs(surrogate, as_conv_input(x, dtype), target_class)
-    return grad3[:, 0, :].astype(dtype), y_clean
+    grad3, y_clean, logits = input_gradient_with_probs(surrogate, as_conv_input(x, dtype),
+                                                       target_class)
+    return grad3[:, 0, :].astype(dtype), y_clean, logits
+
+
+def clean_labels(teacher, surrogate: Network, x: np.ndarray,
+                 signal: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The teacher's labels of ``x``, given ``signal``, its ``surrogate_signal``.
+
+    When the surrogate is the FCN teacher's own network and was fed the
+    teacher's input dtype, the surrogate pass was the teacher's forward pass,
+    and its logits give the labels by the teacher's own rule with no second
+    pass; otherwise the teacher is queried.
+    """
+    if (isinstance(teacher, FCNTeacher) and teacher.model is surrogate
+            and signal[0].dtype == teacher.input_dtype):
+        return teacher.labels_from_logits(signal[2])
+    return teacher.predict_labels(x)
 
 
 def generate(run: AttackRun, x: np.ndarray,
-             signal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+             signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Craft adversarial series for a sample or batch; no parameters change.
 
     The generator maps each series joined with the surrogate's input gradient,
@@ -124,7 +142,7 @@ def generate(run: AttackRun, x: np.ndarray,
 
 
 def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
-               signal: tuple[np.ndarray, np.ndarray] | None = None) -> AttackRun:
+               signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> AttackRun:
     """Minimize the mean generator loss over the evaluation split.
 
     The surrogate is frozen: its input gradients and clean predictions
@@ -140,7 +158,7 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
     surrogate_before = run.surrogate.state_hash()
     if signal is None:
         signal = surrogate_signal(run.surrogate, x_all, config.target_class, dtype)
-    x_tilde_all, y_clean_all = signal
+    x_tilde_all, y_clean_all, _ = signal
     joined = np.concatenate([x_all, x_tilde_all], axis=1)
 
     def batch_loss(idx):
@@ -160,10 +178,10 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
                      betas: tuple[float, ...] = BETA_GRID, pred_clean: np.ndarray | None = None):
     """Train one generator per beta, score each on the real teacher, pick the best.
 
-    ``pred_clean`` is the teacher's label for each d_eval series, queried here
-    when not given. Returns (runs, reports, best_index, outputs); best means
-    most labeled-criterion adversaries on d_eval, ties broken by smaller
-    adversary MSE, then by smaller beta. ``outputs`` holds what the teacher was
+    ``pred_clean`` is the teacher's label for each d_eval series, taken by
+    :func:`clean_labels` when not given. Returns (runs, reports, best_index,
+    outputs); best means most labeled-criterion adversaries on d_eval, ties
+    broken by smaller adversary MSE, then by smaller beta. ``outputs`` holds what the teacher was
     shown: "clean_labels" [N], each beta's "x_hat" [n_betas, N, T] in the
     generator's dtype, and the teacher's labels of those, "adv_labels"
     [n_betas, N]; any count on d_eval can be made again from them.
@@ -175,8 +193,6 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
     x_hats = []
     adv_labels = []
     x = d_eval.values
-    if pred_clean is None:
-        pred_clean = teacher.predict_labels(x)
     signal = None
     for beta in betas:
         config = replace(base_config, beta=beta)
@@ -184,6 +200,8 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
         if signal is None:
             signal = surrogate_signal(run.surrogate, x, config.target_class,
                                       run.gatn.parameters()[0].dtype)
+            if pred_clean is None:
+                pred_clean = clean_labels(teacher, run.surrogate, x, signal)
         train_gatn(run, x, signal)
         x_hat = generate(run, x, signal)
         pred_adv = teacher.predict_labels(x_hat)

@@ -9,8 +9,10 @@ present is a no-op. Stages written before manifests listed their files rerun
 once. Flags override config-file values, and the fully resolved
 configuration is echoed into the output directory.
 
-The module imports only the stdlib and :mod:`tsadv.config`; each stage imports
-the library it runs inside its ``write``, so an up-to-date stage never loads numpy.
+The module imports only the stdlib and the numpy-free :mod:`tsadv.config` and
+:mod:`tsadv.reports`; each stage imports the library it runs inside its
+``write``, so an up-to-date stage never loads numpy, and neither does a
+``report`` with no pair of variants to test.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections.abc import Callable
 
 from .config import (BETA_GRID, AttackConfig, DistillConfig, TrainingDivergedError,
                      attacks_teacher, config_hash)
+from .reports import load_reports_json, replacing, save_reports_csv, save_reports_json
 
 UCR_ROOT_ENV = "TSADV_UCR_ROOT"
 # what the attack stage showed the teacher on d_eval, kept for evaluate
@@ -57,9 +60,8 @@ class MissingArtifactError(FileNotFoundError):
 
 def _write_json(path: str, obj) -> None:
     """Write through a temporary file, so that ``path`` is never left half written."""
-    with open(path + ".partial", "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
-    os.replace(path + ".partial", path)
 
 
 def _read_json(path: str):
@@ -349,7 +351,6 @@ def cmd_attack(args) -> int:
     def write(stage: str) -> dict:
         import numpy as np
         from .attack import beta_grid_search
-        from .evaluate import save_reports_json
         from .nn import save_model
 
         teacher, teacher_model, student_model = _surrogate_for(out, args.box, args.teacher,
@@ -384,7 +385,8 @@ def cmd_evaluate(args) -> int:
 
     d_eval's counts are made again from the teacher labels and series the
     attack stage saved, with no model run; only d_test is shown to the
-    surrogate and the teacher, each once for its clean series.
+    surrogate and the teacher, each once for its clean series (one pass for
+    both when the surrogate is the FCN teacher, see ``attack.clean_labels``).
     """
     out = args.out
     attack_manifest = _load_manifest(out, "attack", "evaluate")
@@ -399,9 +401,9 @@ def cmd_evaluate(args) -> int:
 
     def write(stage: str) -> dict:
         import numpy as np
-        from .attack import make_attack_run, surrogate_signal
+        from .attack import clean_labels, make_attack_run, surrogate_signal
         from .evaluate import (count_adversaries_labeled, count_adversaries_unlabeled,
-                               generalization_eval, save_reports_csv, save_reports_json)
+                               generalization_eval)
         from .nn import load_model
 
         outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
@@ -416,8 +418,7 @@ def cmd_evaluate(args) -> int:
         with np.load(outputs_path) as saved:
             eval_clean, eval_x_hat, eval_adv = (saved["clean_labels"], saved["x_hat"],
                                                 saved["adv_labels"])
-        test_clean = teacher.predict_labels(d_test.values)
-        test_signal = None
+        test_signal = test_clean = None
         betas = attack_manifest["betas"]
         indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
         reports = []
@@ -431,6 +432,7 @@ def cmd_evaluate(args) -> int:
             if test_signal is None:
                 test_signal = surrogate_signal(run.surrogate, d_test.values, config.target_class,
                                                run.gatn.parameters()[0].dtype)
+                test_clean = clean_labels(teacher, run.surrogate, d_test.values, test_signal)
             meta = dict(dataset=d_eval.name, box_mode=config.box_mode,
                         teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval")
             if args.criterion == "labeled":
@@ -455,8 +457,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .evaluate import load_reports_json, pairwise_wilcoxon, save_reports_csv, save_reports_json
-
     def variant(r) -> str:
         return f"{r.box_mode}-{r.teacher_kind}"
 
@@ -483,8 +483,7 @@ def cmd_report(args) -> int:
 
     for split, tag in (("d_eval", "counts"), ("d_test", "generalization")):
         rows = [r for r in all_reports if r.split == split]
-        with open(os.path.join(args.out, f"plot_{tag}.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
+        with replacing(os.path.join(args.out, f"plot_{tag}.csv"), newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["dataset", "variant", "beta", "num_adversaries", "mse_adversaries",
                              "mse_all"])
@@ -493,14 +492,18 @@ def cmd_report(args) -> int:
                 writer.writerow([r.dataset, variant(r), repr(r.beta), r.num_adversaries, mse_adv,
                                  repr(r.mse_all)])
     datasets = sorted({dataset for _, dataset in eval_reports})
+    # the variants with a d_eval report on every dataset; fewer than two make no pair
+    variants = [v for v in dict.fromkeys(v for v, _ in eval_reports)
+                if all((v, d) in eval_reports for d in datasets)]
     for name, value in (("wilcoxon_counts", lambda r: r.num_adversaries),
                         ("wilcoxon_mse", lambda r: float("nan") if r.mse_adversaries is None
                          else r.mse_adversaries)):
-        vectors = {}
-        for v in dict.fromkeys(v for v, _ in eval_reports):
-            if all((v, d) in eval_reports for d in datasets):
-                vectors[v] = [value(eval_reports[v, d][1]) for d in datasets]
-        rows = pairwise_wilcoxon(vectors)
+        rows = []
+        if len(variants) > 1:
+            from .evaluate import pairwise_wilcoxon
+
+            rows = pairwise_wilcoxon({v: [value(eval_reports[v, d][1]) for d in datasets]
+                                      for v in variants})
         _write_json(os.path.join(args.out, f"{name}.json"), rows)
         print(f"[report] {name}: {len(rows)} pairwise entries over {len(datasets)} datasets")
     print(f"[report] aggregated {len(all_reports)} reports from {len(args.runs)} run(s)")

@@ -9,44 +9,15 @@ clean prediction as ground truth.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
+from .reports import AttackReport
 from .util import rankdata_average
-
-CSV_COLUMNS = ["dataset", "box_mode", "teacher_kind", "beta", "split", "criterion",
-               "n_evaluated", "num_adversaries", "mse_adversaries", "mse_all"]
-
-
-@dataclass(frozen=True)
-class AttackReport:
-    """Per-dataset attack outcome in the appendix-table schema."""
-
-    dataset: str
-    box_mode: str
-    teacher_kind: str
-    beta: float
-    num_adversaries: int
-    mse_adversaries: float | None  # mean over counted adversaries; None when count is 0
-    mse_all: float  # mean over every evaluated sample
-    split: str  # d_eval | d_test
-    criterion: str  # labeled | unlabeled
-    n_evaluated: int
-
-    def __post_init__(self):
-        if self.num_adversaries > self.n_evaluated:
-            raise ValueError("cannot count more adversaries than evaluated samples")
-        if self.mse_all < 0 or (self.mse_adversaries is not None and self.mse_adversaries < 0):
-            raise ValueError("MSE fields must be >= 0")
-        if self.num_adversaries == 0 and self.mse_adversaries is not None:
-            raise ValueError("mse_adversaries is undefined when no adversary was counted")
 
 
 def _build_report(x: np.ndarray, x_hat: np.ndarray, adversaries: np.ndarray, *, criterion: str,
@@ -92,26 +63,30 @@ def count_adversaries_unlabeled(x: np.ndarray, x_hat: np.ndarray, pred_clean: np
 
 
 def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled",
-                        signal: tuple[np.ndarray, np.ndarray] | None = None,
+                        signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                         pred_clean: np.ndarray | None = None) -> AttackReport:
     """Counting on the unseen split with zero parameter updates.
 
     ``signal`` (``attack.surrogate_signal`` of ``d_test``) and ``pred_clean``
-    (the teacher's labels of ``d_test``) are computed here when not given,
-    so that every generator evaluated on the split can share one of each;
-    the teacher's labels of the crafted series are always queried here.
-    Generator and surrogate state are hashed before and after; any drift is
-    an error, since generation must be a pure forward pass.
+    (the teacher's labels of ``d_test``, by ``attack.clean_labels``) are
+    computed here when not given, so that every generator evaluated on the
+    split can share one of each; the teacher's labels of the crafted series
+    are always queried here. Generator and surrogate state are hashed before
+    and after; any drift is an error, since generation must be a pure
+    forward pass.
     """
-    from .attack import generate
+    from .attack import clean_labels, generate, surrogate_signal
 
     if criterion not in ("labeled", "unlabeled"):
         raise ValueError(f"unknown criterion {criterion!r}")
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
+    if signal is None:
+        signal = surrogate_signal(run.surrogate, x, run.config.target_class,
+                                  run.gatn.parameters()[0].dtype)
     x_hat = generate(run, x, signal)
     if pred_clean is None:
-        pred_clean = teacher.predict_labels(x)
+        pred_clean = clean_labels(teacher, run.surrogate, x, signal)
     pred_adv = teacher.predict_labels(x_hat)
     meta = dict(dataset=d_test.name, box_mode=run.config.box_mode,
                 teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test")
@@ -220,31 +195,6 @@ def _normal_tails(diff: np.ndarray, ranks: np.ndarray, w_plus: float) -> tuple[f
     p_le = phi((w_plus - mean + 0.5) / sd)
     p_ge = 1.0 - phi((w_plus - mean - 0.5) / sd)
     return min(1.0, p_le), min(1.0, p_ge)
-
-
-def save_reports_csv(reports: list[AttackReport], path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for r in reports:
-            row = asdict(r)
-            row["mse_adversaries"] = "" if row["mse_adversaries"] is None else repr(row["mse_adversaries"])
-            row["mse_all"] = repr(row["mse_all"])
-            row["beta"] = repr(row["beta"])
-            writer.writerow(row)
-
-
-def save_reports_json(reports: list[AttackReport], path: str | os.PathLike,
-                      provenance: dict | None = None) -> None:
-    blob = {"provenance": provenance or {}, "reports": [asdict(r) for r in reports]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=2)
-
-
-def load_reports_json(path: str | os.PathLike) -> tuple[list[AttackReport], dict]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    return [AttackReport(**d) for d in blob["reports"]], blob["provenance"]
 
 
 def pairwise_wilcoxon(values_by_variant: dict[str, np.ndarray | list[float]]) -> list[dict]:

@@ -258,13 +258,14 @@ def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logits, softmax_np(logits, axis=1)
 
 
-def input_gradient_with_probs(model: Network, x: np.ndarray,
-                              target_class: int) -> tuple[np.ndarray, np.ndarray]:
+def input_gradient_with_probs(model: Network, x: np.ndarray, target_class: int
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of the softmax probability of ``target_class`` w.r.t. the input,
-    and the probabilities, from one tracked forward pass.
+    the probabilities and the logits, from one tracked forward pass.
 
     Runs in inference mode, so per-sample gradients are independent of the
-    rest of the batch. The gradient has the same shape as ``x``.
+    rest of the batch, and the logits are the bits :func:`predict` returns
+    for ``x``. The gradient has the same shape as ``x``.
     """
     xt = Tensor(np.asarray(x), requires_grad=True)
     logits = model.forward(xt, training=False)
@@ -276,7 +277,7 @@ def input_gradient_with_probs(model: Network, x: np.ndarray,
     mask[target_class] = 1
     f_t = ad.tsum(probs * Tensor(mask))
     f_t.backward()
-    return xt.grad.copy(), probs.data.copy()
+    return xt.grad.copy(), probs.data.copy(), logits.data
 
 
 def cross_entropy(p_target, q_pred) -> Tensor:

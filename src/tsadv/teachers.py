@@ -13,7 +13,7 @@ from .data import Dataset
 from .dtw import dtw_pairwise, nn1_classify, soft_1nn
 from .models import as_conv_input
 from .nn import Network, predict
-from .util import readonly
+from .util import readonly, softmax_np
 
 
 class Teacher:
@@ -44,17 +44,28 @@ class FCNTeacher(Teacher):
     def num_classes(self) -> int:
         return self.model.layers[-1].units
 
+    @property
+    def input_dtype(self):
+        return self.model.parameters()[0].dtype
+
     def predict_labels(self, x):
+        return self.labels_from_logits(self._predict(x)[0])
+
+    def labels_from_logits(self, logits: np.ndarray) -> np.ndarray:
+        """The labels of the series whose inference-mode logits these are.
+
+        Counts as one ``predict_labels`` query: a caller that already ran the
+        model on its ``input_dtype`` input asks the teacher this way.
+        """
         self.calls["predict_labels"] += 1
-        return np.argmax(self._probs(x), axis=1)
+        return np.argmax(softmax_np(logits, axis=1), axis=1)
 
     def predict_proba(self, x):
         self.calls["predict_proba"] += 1
-        return self._probs(x)
+        return self._predict(x)[1]
 
-    def _probs(self, x):
-        _, probs = predict(self.model, as_conv_input(x, self.model.parameters()[0].dtype))
-        return probs
+    def _predict(self, x):
+        return predict(self.model, as_conv_input(x, self.input_dtype))
 
 
 class DTW1NNTeacher(Teacher):

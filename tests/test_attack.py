@@ -6,6 +6,7 @@ from tsadv.attack import (
     AttackConfig,
     AttackRun,
     beta_grid_search,
+    clean_labels,
     gatn_loss,
     generate,
     make_attack_run,
@@ -16,6 +17,7 @@ from tsadv.attack import (
 )
 from tsadv.distill import DistillConfig, teacher_outputs, train_student
 from tsadv.models import ArchitectureConfig, TrainConfig, build_fcn, build_lenet5_1d, train_classifier
+from tsadv.nn import predict
 from tsadv.synthetic import make_bump_dataset
 from tsadv.teachers import FCNTeacher
 
@@ -211,7 +213,7 @@ class TestGenerate:
         # float32 BLAS rounds a 1-row product differently from a 5-row one
         np.testing.assert_allclose(x_hat, generate(run, eval_split.values[:5])[0],
                                    rtol=1e-5, atol=1e-6)
-        x_tilde, y_clean = surrogate_signal(run.surrogate, eval_split.values[:5], 1)
+        x_tilde, y_clean, _ = surrogate_signal(run.surrogate, eval_split.values[:5], 1)
         assert x_tilde.shape == (5, 32) and y_clean.shape == (5, 2)
         assert np.abs(y_clean.sum(axis=1) - 1).max() < 1e-6
 
@@ -298,7 +300,7 @@ class TestBetaGridSearch:
 
         import tsadv.attack as attack_module
         import tsadv.evaluate as evaluate_module
-        from tsadv.evaluate import AttackReport
+        from tsadv.reports import AttackReport
 
         # beta -> (count, MSE): the 1e-5 run has the smallest MSE but fewer
         # adversaries; among the rest, 1e-3 has the smallest MSE, 1e-1 the
@@ -323,6 +325,59 @@ class TestBetaGridSearch:
         assert [(r.num_adversaries, r.mse_adversaries) for r in reports] == [
             outcome[b] for b in BETA_GRID]
         assert BETA_GRID[best] == 1e-3
+
+
+class TestCleanLabels:
+    """White-box FCN clean labels come off the surrogate pass, with the teacher's bits."""
+
+    def test_read_off_the_teachers_own_pass(self, trained_teacher, eval_split):
+        x = eval_split.values
+        signal = surrogate_signal(trained_teacher, x, 1)
+        teacher = FCNTeacher(trained_teacher)
+        labels = clean_labels(teacher, trained_teacher, x, signal)
+        assert teacher.calls == {"predict_labels": 1, "predict_proba": 0}
+        expected = FCNTeacher(trained_teacher).predict_labels(x)
+        assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
+        logits, _ = predict(trained_teacher, x[:, None, :].astype(np.float32))
+        assert np.array_equal(signal[2], logits)
+
+    def test_teacher_not_backed_by_the_surrogate_is_queried(self, trained_teacher,
+                                                            eval_split):
+        from types import SimpleNamespace
+
+        x = eval_split.values
+        signal = surrogate_signal(trained_teacher, x, 1)
+        float64_signal = surrogate_signal(trained_teacher, x, 1, np.float64)
+        other_net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
+                                                 architecture="fcn", seed=3))
+        namespace = SimpleNamespace(model=trained_teacher,
+                                    predict_labels=FCNTeacher(trained_teacher).predict_labels)
+        # not an FCNTeacher; an FCN teacher on another network; a pass fed another dtype
+        for teacher, sig in ((namespace, signal), (FCNTeacher(other_net), signal),
+                             (FCNTeacher(trained_teacher), float64_signal)):
+            queried = []
+            predict_labels = teacher.predict_labels
+            teacher.predict_labels = lambda v: queried.append(v) or predict_labels(v)
+            labels = clean_labels(teacher, trained_teacher, x, sig)
+            assert len(queried) == 1 and queried[0] is x
+            assert np.array_equal(labels, FCNTeacher(teacher.model).predict_labels(x))
+
+    def test_grid_queries_a_teacher_not_backed_by_the_surrogate(self, trained_teacher,
+                                                                eval_split):
+        from types import SimpleNamespace
+
+        calls = []
+
+        def predict_labels(x):
+            calls.append(len(x))
+            return FCNTeacher(trained_teacher).predict_labels(x)
+
+        teacher = SimpleNamespace(predict_labels=predict_labels)
+        _, _, _, outputs = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
+                                            teacher_model=trained_teacher, betas=(1e-2,))
+        assert calls == [len(eval_split), len(eval_split)]  # clean, then x_hat
+        assert np.array_equal(outputs["clean_labels"],
+                              FCNTeacher(trained_teacher).predict_labels(eval_split.values))
 
 
 class TestBlackBoxHygiene:

@@ -448,14 +448,14 @@ class TestInputGradient:
     def test_constant_logits_give_zero_gradient(self):
         net = self._tiny_net()
         net.layers[1].w.data[:] = 0.0
-        g, _ = input_gradient_with_probs(net, np.random.default_rng(0).normal(size=(2, 1, 6)), 1)
+        g, _, _ = input_gradient_with_probs(net, np.random.default_rng(0).normal(size=(2, 1, 6)), 1)
         assert np.abs(g).max() == 0.0
 
     def test_matches_finite_differences(self):
         net = self._tiny_net()
         rng = np.random.default_rng(41)
         x = rng.normal(size=(2, 1, 6))
-        g, _ = input_gradient_with_probs(net, x, 2)
+        g, _, _ = input_gradient_with_probs(net, x, 2)
 
         def f_t(xv):
             _, probs = predict(net, xv)
@@ -506,8 +506,8 @@ class TestInputGradient:
         frozen, tracked_net = build(config), build(config)
         frozen.set_requires_grad(False)
         x = np.random.default_rng(44).normal(size=(5, 1, 20)).astype(np.float32)
-        g_frozen, _ = input_gradient_with_probs(frozen, x, 1)
-        g_tracked, _ = input_gradient_with_probs(tracked_net, x, 1)
+        g_frozen, _, _ = input_gradient_with_probs(frozen, x, 1)
+        g_tracked, _, _ = input_gradient_with_probs(tracked_net, x, 1)
         assert all(p.grad is None for p in frozen.parameters())
         assert all(p.grad is not None for p in tracked_net.parameters())
         assert np.array_equal(g_frozen, g_tracked)

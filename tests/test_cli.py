@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tsadv.cli import main
-from tsadv.evaluate import load_reports_json
+from tsadv.reports import load_reports_json
 from tsadv.synthetic import write_power_profile_archive
 
 
@@ -224,6 +224,71 @@ class TestEvaluateTeacherCalls:
             "predict_labels": 1 + n_betas, "predict_proba": 0}
 
 
+def fcn_teacher_labels(out, which):
+    """The FCN teacher's labels of one prepared split, by a query of its own."""
+    from tsadv.data import load_ucr
+    from tsadv.nn import load_model
+    from tsadv.teachers import FCNTeacher
+
+    teacher = FCNTeacher(load_model(os.path.join(out, "teacher", "fcn.npz")))
+    return teacher.predict_labels(load_ucr(os.path.join(out, "prepare", f"{which}.tsv")).values)
+
+
+class TestWhiteFcnCleanLabels:
+    """A white-box FCN run reads the teacher's clean labels off the surrogate
+    pass it runs anyway: the bits of a teacher query, one FCN pass fewer."""
+
+    def test_attack_saves_the_teachers_d_eval_labels(self, white_fcn_run):
+        with np.load(os.path.join(white_fcn_run, "attack", "d_eval_outputs.npz")) as saved:
+            clean = saved["clean_labels"]
+        expected = fcn_teacher_labels(white_fcn_run, "d_eval")
+        assert clean.dtype == expected.dtype and np.array_equal(clean, expected)
+
+    @pytest.mark.parametrize("all_betas", [False, True], ids=["best", "all-betas"])
+    @pytest.mark.parametrize("criterion", ["labeled", "unlabeled"])
+    def test_evaluate_counts_from_the_teachers_d_test_labels(self, white_fcn_run, criterion,
+                                                            all_betas, tmp_path, monkeypatch):
+        import tsadv.evaluate as evaluate_module
+
+        generalization_eval = evaluate_module.generalization_eval
+        seen = []
+
+        def spy(run, teacher, d_test, criterion="labeled", signal=None, pred_clean=None):
+            seen.append(pred_clean)
+            return generalization_eval(run, teacher, d_test, criterion, signal, pred_clean)
+
+        monkeypatch.setattr(evaluate_module, "generalization_eval", spy)
+        out = copy_run(white_fcn_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "reports"))
+        flags = ["--criterion", criterion] + (["--all-betas"] if all_betas else [])
+        assert run("evaluate", "--out", out, *flags) == 0
+        expected = fcn_teacher_labels(out, "d_test")
+        assert len(seen) == len(read_manifest(out, "attack")["betas"])
+        for clean in seen:
+            assert clean.dtype == expected.dtype and np.array_equal(clean, expected)
+
+    def test_evaluate_runs_the_teacher_network_twice(self, white_fcn_run, tmp_path,
+                                                     monkeypatch):
+        from tsadv.nn import Network
+
+        forward = Network.forward
+        architectures = []
+
+        def counting(self, x, training=False):
+            architectures.append(self.architecture)
+            return forward(self, x, training)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        out = copy_run(white_fcn_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "reports"))
+        assert run("evaluate", "--out", out) == 0
+        # the surrogate pass over d_test, which also gives its clean labels,
+        # and the labels of x_hat
+        assert architectures.count("fcn") == 2
+        assert read_manifest(out, "reports")["teacher_calls"] == {
+            "predict_labels": 2, "predict_proba": 0}
+
+
 def make_pre_d_eval_outputs_attack_stage(out):
     """Turn out/attack into an attack stage as written before d_eval_outputs.npz existed.
 
@@ -427,7 +492,7 @@ class TestInvalidTrainingFlags:
 class TestInterruptedStage:
     def test_interrupted_attack_leaves_completed_stage(self, tmp_path, monkeypatch, capsys):
         """A stage that dies after writing some artifacts leaves the previous stage whole."""
-        import tsadv.evaluate as evaluate_module
+        import tsadv.cli as cli_module
         from tsadv.nn import load_model
 
         out = str(tmp_path / "run")
@@ -440,7 +505,7 @@ class TestInterruptedStage:
             raise RuntimeError("interrupted")
 
         with monkeypatch.context() as patch:
-            patch.setattr(evaluate_module, "save_reports_json", crash)
+            patch.setattr(cli_module, "save_reports_json", crash)
             with pytest.raises(RuntimeError, match="interrupted"):
                 run(*attack, "--epochs", "3")
         capsys.readouterr()
@@ -587,13 +652,14 @@ def write_two_power_datasets(tmp_path, monkeypatch):
     monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
 
 
-def write_reports(out, dataset, d_eval_count=3):
-    """A run directory holding only reports/reports.json: a white-box FCN report per split."""
-    from tsadv.evaluate import AttackReport, save_reports_json
+def write_reports(out, dataset, d_eval_count=3, box_mode="white", teacher_kind="fcn"):
+    """A run directory holding only reports/reports.json: one report per split,
+    white-box FCN unless told otherwise."""
+    from tsadv.reports import AttackReport, save_reports_json
 
     os.makedirs(out / "reports")
-    reports = [AttackReport(dataset=dataset, box_mode="white", teacher_kind="fcn", beta=0.01,
-                            num_adversaries=k, mse_adversaries=0.25 if k else None,
+    reports = [AttackReport(dataset=dataset, box_mode=box_mode, teacher_kind=teacher_kind,
+                            beta=0.01, num_adversaries=k, mse_adversaries=0.25 if k else None,
                             mse_all=0.125, split=split, criterion="labeled", n_evaluated=10)
                for split, k in (("d_eval", d_eval_count), ("d_test", 0))]
     save_reports_json(reports, out / "reports" / "reports.json")
@@ -613,6 +679,28 @@ class TestReportPlotCsv:
             # an ordinary name is written as before, unquoted
             assert path.read_bytes().decode().splitlines()[2] == \
                 f"Power,white-fcn,0.01,{k},{mse_adv},0.125"
+
+
+class TestReportWrites:
+    def test_failing_write_leaves_the_previous_report_json(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        import tsadv.reports as reports_module
+
+        runs = [write_reports(tmp_path / name, name) for name in ("PowerA", "PowerB")]
+        report_dir = tmp_path / "summary"
+        assert run("report", "--out", str(report_dir), "--runs", runs[0]) == 0
+        before = (report_dir / "report.json").read_bytes()
+
+        def dump_half(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:20])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(reports_module, "json", SimpleNamespace(dump=dump_half, load=json.load))
+        with pytest.raises(OSError, match="No space left"):
+            run("report", "--out", str(report_dir), "--runs", *runs)
+        assert (report_dir / "report.json").read_bytes() == before
+        assert not [p for p in os.listdir(report_dir) if p.endswith(".partial")]
 
 
 class TestReportDuplicates:
@@ -704,6 +792,38 @@ class TestEntryPoint:
         assert code == 0 and "up to date" not in stdout
         assert read_manifest(out, "teacher")["config"]["seed_teacher"] == 1
         assert not imports_numpy(imported)
+
+    def test_one_variant_report_leaves_numpy_out(self, tmp_path):
+        out = write_reports(tmp_path / "run", "Power")
+        report_dir = tmp_path / "summary"
+        code, _, _, imported = fresh_interpreter("-m", "tsadv.cli", "report",
+                                                 "--out", str(report_dir), "--runs", out)
+        assert code == 0 and "tsadv.reports" in imported
+        assert not imports_numpy(imported)
+        assert sorted(os.listdir(report_dir)) == [
+            "plot_counts.csv", "plot_generalization.csv", "report.csv", "report.json",
+            "wilcoxon_counts.json", "wilcoxon_mse.json"]
+        for name in ("wilcoxon_counts", "wilcoxon_mse"):
+            assert (report_dir / f"{name}.json").read_text() == "[]"
+
+    def test_two_variant_report_writes_its_wilcoxon_entries(self, tmp_path):
+        from tsadv.evaluate import pairwise_wilcoxon
+
+        counts = {("white", "fcn"): [3, 5, 2, 7, 4, 6], ("black", "dtw1nn"): [1, 2, 2, 3, 1, 0]}
+        runs = [write_reports(tmp_path / f"{box}-{teacher}-{i}", f"D{i}", k, box, teacher)
+                for (box, teacher), ks in counts.items() for i, k in enumerate(ks)]
+        report_dir = tmp_path / "summary"
+        code, _, _, imported = fresh_interpreter("-m", "tsadv.cli", "report",
+                                                 "--out", str(report_dir), "--runs", *runs)
+        assert code == 0 and imports_numpy(imported)
+        for name, value in (("wilcoxon_counts", lambda k: k),
+                            ("wilcoxon_mse", lambda k: 0.25 if k else float("nan"))):
+            rows = pairwise_wilcoxon({f"{box}-{teacher}": [value(k) for k in ks]
+                                      for (box, teacher), ks in counts.items()})
+            assert rows[0]["a"] == "white-fcn" and rows[0]["b"] == "black-dtw1nn"
+            assert (report_dir / f"{name}.json").read_text() == json.dumps(
+                rows, indent=2, sort_keys=True)
+        assert json.loads((report_dir / "wilcoxon_counts.json").read_text())[0]["method"] == "exact"
 
     def test_missing_stage_is_an_error_line(self, tmp_path):
         out = str(tmp_path / "empty")

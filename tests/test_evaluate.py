@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from tsadv.evaluate import (
-    AttackReport,
     count_adversaries_labeled,
     count_adversaries_unlabeled,
     generalization_eval,
-    load_reports_json,
     pairwise_wilcoxon,
-    save_reports_csv,
-    save_reports_json,
     wilcoxon_signed_rank,
 )
+from tsadv.reports import AttackReport, load_reports_json, save_reports_csv, save_reports_json
 from tsadv.util import rankdata_average
 
 
@@ -125,6 +122,16 @@ class TestReportValidationAndIO:
         back, prov = load_reports_json(path)
         assert back == reports
         assert prov == {"seed": 1}
+
+    def test_json_write_failing_midway_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        save_reports_json([self.report()], path, provenance={"seed": 1})
+        before = path.read_bytes()
+        # json.dump streams: the provenance block is written before object() fails it
+        with pytest.raises(TypeError):
+            save_reports_json([self.report(beta=0.1)], path, provenance={"seed": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def wilcoxon_oracle(diff, alternative="two-sided"):
