@@ -342,14 +342,26 @@ def maxpool1d(x: Tensor, pool_size: int = 2, stride: int | None = None) -> Tenso
     if l_out < 1:
         raise ValueError(f"maxpool1d: input length {L} shorter than pool size {pool_size}")
     xc = x.data[:, :, : l_out * pool_size].reshape(B, C, l_out, pool_size)
-    idx = xc.argmax(axis=3)
-    data = np.take_along_axis(xc, idx[..., None], axis=3)[..., 0]
+    # argmax's choice, one pool position at a time: a strictly greater value
+    # or the first NaN takes over, so a tie keeps the earlier position
+    data = xc[..., 0]
+    takes = []
+    for k in range(1, pool_size):
+        cand = xc[..., k]
+        take = (cand > data) | (np.isnan(cand) & ~np.isnan(data))
+        data = np.where(take, cand, data)
+        takes.append(take)
 
     def backward(g):
-        gxc = np.zeros_like(xc)
-        np.put_along_axis(gxc, idx[..., None], g[..., None], axis=3)
-        gx = np.zeros_like(x.data)
-        gx[:, :, : l_out * pool_size] = gxc.reshape(B, C, l_out * pool_size)
+        gx = np.empty_like(x.data)
+        gx[:, :, l_out * pool_size :] = 0
+        gxc = gx[:, :, : l_out * pool_size].reshape(B, C, l_out, pool_size)
+        won = None  # where a later position holds the max
+        for k in range(pool_size - 1, 0, -1):
+            take = takes[k - 1] if won is None else takes[k - 1] & ~won
+            gxc[..., k] = np.where(take, g, 0)
+            won = take if won is None else won | take
+        gxc[..., 0] = g if won is None else np.where(won, 0, g)
         _accumulate(x, gx)
 
     return _node(data, (x,), backward)

@@ -462,12 +462,15 @@ def cmd_report(args) -> int:
 
     all_reports = []
     eval_reports = {}  # (variant, dataset) -> (run directory, d_eval report)
+    runs_by_criterion = {}
     for run_dir in args.runs:
         path = os.path.join(run_dir, "reports", "reports.json")
         if not os.path.exists(path):
             raise MissingArtifactError(f"no reports in {run_dir}; run `tsadv evaluate` first")
         reports, _ = load_reports_json(path)
         all_reports.extend(reports)
+        for criterion in dict.fromkeys(r.criterion for r in reports):
+            runs_by_criterion.setdefault(criterion, []).append(run_dir)
         for r in [r for r in reports if r.split == "d_eval"]:
             key = (variant(r), r.dataset)
             if key in eval_reports:  # a Wilcoxon vector holds one count per dataset
@@ -476,6 +479,10 @@ def cmd_report(args) -> int:
                     f"and in {run_dir}; report takes one per variant and dataset (one seed per "
                     f"dataset, evaluated without --all-betas)")
             eval_reports[key] = run_dir, r
+    if len(runs_by_criterion) > 1:  # an unlabeled count is never below the labeled one
+        mix = "; ".join(f"{c} in {', '.join(runs)}" for c, runs in runs_by_criterion.items())
+        raise ValueError(f"runs evaluated under different criteria ({mix}); report compares "
+                         f"runs of one --criterion only")
     os.makedirs(args.out, exist_ok=True)
     save_reports_csv(all_reports, os.path.join(args.out, "report.csv"))
     save_reports_json(all_reports, os.path.join(args.out, "report.json"),

@@ -35,10 +35,16 @@ def dtw_distance(q, c) -> float:
     return float(_dtw_block(_as_values(q)[None, :], _as_values(c)[None, :])[0, 0])
 
 
-# Query rows are swept in blocks of about this many (query, reference) pairs,
-# which keeps each (T+1) x pairs buffer near 0.2 MB at T = 24; on 1029 x 67
-# x 24 (2-vCPU VM), 1024 pairs beat 512, 2048 and 4096.
-_BLOCK_PAIRS = 1024
+# Query rows are swept in blocks whose (T+1) x pairs wavefront buffers hold
+# about this many cells: 1024 pairs at T = 24, which beat 512, 2048 and 4096
+# on 1029 x 67 x 24 (2-vCPU VM). At T = 512 one row per block (67 pairs) took
+# 0.85 s against 1.41 s for 1024 pairs on 16 x 67 (same VM, best of 3).
+_BLOCK_CELLS = 1024 * 25
+
+
+def _block_rows(num_refs: int, length: int) -> int:
+    """Query rows per wavefront block of length-``length`` queries against ``num_refs`` refs."""
+    return max(1, _BLOCK_CELLS // (num_refs * (length + 1)))
 
 
 def _dtw_block(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -93,7 +99,7 @@ def dtw_pairwise(eval_values: np.ndarray, ref_values: np.ndarray,
     for mat, which in ((eval_values, "eval set"), (ref_values, "ref set")):
         if not np.isfinite(mat).all():
             raise ValueError(f"{which} contains non-finite values; run preprocess first")
-    rows = max(1, _BLOCK_PAIRS // ref_values.shape[0])
+    rows = _block_rows(ref_values.shape[0], eval_values.shape[1])
     blocks = [eval_values[s:s + rows] for s in range(0, eval_values.shape[0], rows)]
     if processes is not None and processes > 1:
         with multiprocessing.get_context("fork").Pool(processes) as pool:

@@ -116,7 +116,8 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray,
                          alternative: str = "two-sided") -> WilcoxonResult:
     """Paired Wilcoxon signed-rank test, two-sided by default.
 
-    Zero differences are dropped and tied ranks averaged. With n <= 25
+    NaN differences are refused, never ranked; zero differences are dropped
+    and tied ranks averaged. With n <= 25
     effective pairs the p-value comes from the exact sign-flip distribution
     of the rank sum (a subset-sum count over doubled ranks, so averaged tie
     ranks stay exact); larger n uses the normal approximation with tie
@@ -130,7 +131,11 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray,
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
+    if a.shape[0] == 0:
+        raise ValueError("no paired values")
     diff = a - b
+    if np.isnan(diff).any():
+        raise ValueError("undefined (NaN) differences cannot be ranked; drop their pairs first")
     diff = diff[diff != 0.0]
     n = diff.shape[0]
     if n == 0:
@@ -200,19 +205,26 @@ def _normal_tails(diff: np.ndarray, ranks: np.ndarray, w_plus: float) -> tuple[f
 def pairwise_wilcoxon(values_by_variant: dict[str, np.ndarray | list[float]]) -> list[dict]:
     """Upper-triangle pairwise comparisons across attack variants.
 
-    Each entry carries the pair, the statistic and p-value, or a note when
-    the test is not applicable (fewer than 5 nonzero differences).
+    A pair drops the datasets where either value is NaN (undefined, such as
+    the MSE of a variant that found no adversary) and records how many in
+    ``n_dropped``. Each entry carries the pair, the statistic and p-value, or
+    a note when the test is not applicable (fewer than 5 nonzero differences).
     """
     names = list(values_by_variant)
     rows = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             a, b = names[i], names[j]
-            entry = {"a": a, "b": b}
+            x, y = (np.asarray(values_by_variant[v], dtype=np.float64) for v in (a, b))
+            entry = {"a": a, "b": b, "n_dropped": None}
             try:
+                if x.shape != y.shape or x.ndim != 1:
+                    raise ValueError("inputs must be 1-D arrays of equal length")
+                defined = ~(np.isnan(x) | np.isnan(y))
+                entry["n_dropped"] = int(x.shape[0] - defined.sum())
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    result = wilcoxon_signed_rank(values_by_variant[a], values_by_variant[b])
+                    result = wilcoxon_signed_rank(x[defined], y[defined])
                 entry.update(statistic=result.statistic, p_value=result.p_value,
                              n_effective=result.n_effective, method=result.method)
             except ValueError as exc:

@@ -2,7 +2,9 @@
 
 A Network is an ordered stack of layers with explicit parameter arrays; the
 whole thing is plain numpy so a saved model reloads bit-exactly. Training is
-float32 by default, gradient checks build float64 models.
+float32 by default, gradient checks build float64 models. Whole-split passes,
+:func:`predict` and :func:`input_gradient_with_probs`, run over chunks of rows
+whose size is a function of the network and the input shape only.
 """
 
 from __future__ import annotations
@@ -252,32 +254,63 @@ class Network:
         return array_state_hash(self.state_arrays())
 
 
+# Whole-split passes run over chunks of rows, each holding at most this many
+# elements of the widest per-row conv buffer, max(Cin*K*L, Cout*L) at series
+# length L, so their memory is bounded by the shapes and not by the row count.
+# The FCN's rows are bitwise the same in any batch; LeNet-5's are not, and it
+# stays in one chunk up to 2912 rows at L = 24.
+_CHUNK_ELEMENTS = 1 << 21
+
+
+def chunk_rows(model: Network, shape: tuple[int, ...]) -> int:
+    """Rows per chunk of a whole-split pass of ``model`` over an input of ``shape``."""
+    widest = max([int(np.prod(shape[1:]))]
+                 + [max(layer.in_channels * layer.kernel_size, layer.out_channels) * shape[-1]
+                    for layer in model.layers if isinstance(layer, Conv1d)])
+    return max(1, _CHUNK_ELEMENTS // widest)
+
+
+def _in_chunks(model: Network, x: np.ndarray, rows_pass) -> tuple[np.ndarray, ...]:
+    """The arrays ``rows_pass`` returns for each chunk of x's rows, joined along rows."""
+    rows = chunk_rows(model, x.shape)
+    parts = [rows_pass(x[s : s + rows]) for s in range(0, max(len(x), 1), rows)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def predict(model: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-mode logits and softmax probabilities."""
-    logits = model.forward(Tensor(np.asarray(x)), training=False).data
-    return logits, softmax_np(logits, axis=1)
+    """Inference-mode logits and softmax probabilities, over chunks of rows."""
+
+    def rows_pass(rows):
+        logits = model.forward(Tensor(rows), training=False).data
+        return logits, softmax_np(logits, axis=1)
+
+    return _in_chunks(model, np.asarray(x), rows_pass)
 
 
 def input_gradient_with_probs(model: Network, x: np.ndarray, target_class: int
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of the softmax probability of ``target_class`` w.r.t. the input,
-    the probabilities and the logits, from one tracked forward pass.
+    the probabilities and the logits, from one tracked forward pass per chunk
+    of rows.
 
     Runs in inference mode, so per-sample gradients are independent of the
     rest of the batch, and the logits are the bits :func:`predict` returns
     for ``x``. The gradient has the same shape as ``x``.
     """
-    xt = Tensor(np.asarray(x), requires_grad=True)
-    logits = model.forward(xt, training=False)
-    num_classes = logits.data.shape[1]
+    num_classes = model.layers[-1].units
     if not 0 <= target_class < num_classes:
         raise ValueError(f"target_class {target_class} out of range for {num_classes} classes")
-    probs = ad.softmax(logits, axis=1)
-    mask = np.zeros(num_classes, dtype=logits.data.dtype)
-    mask[target_class] = 1
-    f_t = ad.tsum(probs * Tensor(mask))
-    f_t.backward()
-    return xt.grad.copy(), probs.data.copy(), logits.data
+
+    def rows_pass(rows):
+        xt = Tensor(rows, requires_grad=True)
+        logits = model.forward(xt, training=False)
+        probs = ad.softmax(logits, axis=1)
+        mask = np.zeros(num_classes, dtype=logits.data.dtype)
+        mask[target_class] = 1
+        ad.tsum(probs * Tensor(mask)).backward()
+        return xt.grad, probs.data, logits.data
+
+    return _in_chunks(model, np.asarray(x), rows_pass)
 
 
 def cross_entropy(p_target, q_pred) -> Tensor:
@@ -395,10 +428,6 @@ def load_model(path: str | os.PathLike) -> Network:
             raise ValueError(f"unsupported model format {meta.get('format_version')!r}")
         layers = []
         for i, spec in enumerate(meta["layers"]):
-            if i == 0 and spec["kind"] == "concat":
-                # generators saved while the GATN joined [x, x_tilde] itself;
-                # the layer held no state, and arrays keep their file index
-                continue
             layer = layer_from_spec(spec)
             state = {}
             for name in layer.state():

@@ -350,6 +350,36 @@ class TestFusedKernelParity:
         old_dx = einsum_conv1d_input_gradient(x.data, w.data, g, padding)
         assert x.grad.dtype == old_dx.dtype and np.array_equal(x.grad, old_dx)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pool_size, length", [(2, 12), (2, 11), (3, 12), (3, 13), (1, 5)])
+    def test_maxpool1d(self, dtype, pool_size, length):
+        """Values and gradient routing are argmax's: a tie, -0.0 against 0.0
+        included, goes to the first position, and so does the first NaN."""
+        rng = np.random.default_rng(33)
+        pool = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf]),
+                          size=(40, 3, length)).astype(dtype)
+        pool[0, 0, :4] = [-0.0, 0.0, 0.0, -0.0]
+        pool[0, 1, :4] = [1.0, np.nan, np.nan, 1.0]
+        a = np.concatenate([pool, rng.normal(size=(6, 3, length)).astype(dtype)])
+        x = Tensor(a.copy(), requires_grad=True)
+        out = ad.maxpool1d(x, pool_size)
+        b, c, l_out = a.shape[0], a.shape[1], length // pool_size
+        xc = a[:, :, : l_out * pool_size].reshape(b, c, l_out, pool_size)
+        idx = xc.argmax(axis=3)[..., None]
+        old = np.take_along_axis(xc, idx, axis=3)[..., 0]
+        assert out.data.dtype == old.dtype
+        assert np.array_equal(out.data, old, equal_nan=True)
+        assert np.array_equal(np.signbit(out.data), np.signbit(old))
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[0, 0, 0] = -0.0
+        out._backward(g)
+        gxc = np.zeros_like(xc)
+        np.put_along_axis(gxc, idx, g[..., None], axis=3)
+        old_dx = np.zeros_like(a)
+        old_dx[:, :, : l_out * pool_size] = gxc.reshape(b, c, l_out * pool_size)
+        assert x.grad.dtype == old_dx.dtype and np.array_equal(x.grad, old_dx)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(old_dx))
+
 
 class TestLosses:
     def test_cross_entropy_fixed_value(self):

@@ -652,15 +652,16 @@ def write_two_power_datasets(tmp_path, monkeypatch):
     monkeypatch.setenv("TSADV_UCR_ROOT", str(root))
 
 
-def write_reports(out, dataset, d_eval_count=3, box_mode="white", teacher_kind="fcn"):
+def write_reports(out, dataset, d_eval_count=3, box_mode="white", teacher_kind="fcn",
+                  criterion="labeled"):
     """A run directory holding only reports/reports.json: one report per split,
-    white-box FCN unless told otherwise."""
+    white-box FCN under the labeled criterion unless told otherwise."""
     from tsadv.reports import AttackReport, save_reports_json
 
     os.makedirs(out / "reports")
     reports = [AttackReport(dataset=dataset, box_mode=box_mode, teacher_kind=teacher_kind,
                             beta=0.01, num_adversaries=k, mse_adversaries=0.25 if k else None,
-                            mse_all=0.125, split=split, criterion="labeled", n_evaluated=10)
+                            mse_all=0.125, split=split, criterion=criterion, n_evaluated=10)
                for split, k in (("d_eval", d_eval_count), ("d_test", 0))]
     save_reports_json(reports, out / "reports" / "reports.json")
     return str(out)
@@ -824,6 +825,19 @@ class TestEntryPoint:
             assert (report_dir / f"{name}.json").read_text() == json.dumps(
                 rows, indent=2, sort_keys=True)
         assert json.loads((report_dir / "wilcoxon_counts.json").read_text())[0]["method"] == "exact"
+
+    def test_report_refuses_runs_of_different_criteria(self, tmp_path):
+        runs = [write_reports(tmp_path / f"{box}-{i}", f"D{i}", 3, box, teacher, criterion)
+                for box, teacher, criterion in (("white", "fcn", "labeled"),
+                                                ("black", "dtw1nn", "unlabeled"))
+                for i in range(6)]
+        report_dir = tmp_path / "summary"
+        code, _, err, _ = fresh_interpreter("-m", "tsadv.cli", "report",
+                                            "--out", str(report_dir), "--runs", *runs)
+        assert code == 1 and err.startswith("error:")
+        assert "labeled in " + ", ".join(runs[:6]) in err
+        assert "unlabeled in " + ", ".join(runs[6:]) in err
+        assert not report_dir.exists()
 
     def test_missing_stage_is_an_error_line(self, tmp_path):
         out = str(tmp_path / "empty")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tsadv.dtw as dtw_module
 from tsadv.data import Dataset, TimeSeries
 from tsadv.dtw import (
     dtw_distance,
@@ -164,6 +165,23 @@ class TestDistanceMatrix:
         got = dtw_pairwise(ev, ref)
         assert np.array_equal(got, row_by_row_matrix(ev, ref))
         assert all(np.array_equal(got[i], got[11]) for i in (3, 17, 29))
+
+    def test_block_rows_are_a_function_of_the_shapes(self):
+        # cells per block, not pairs: 15 query rows (1005 pairs) at T = 24 against 67
+        # references, as when blocks held 1024 pairs, and one row at T = 512
+        assert [dtw_module._block_rows(67, t) for t in (24, 128, 512)] == [15, 2, 1]
+        assert dtw_module._block_rows(1, 24) == 1024
+        assert dtw_module._block_rows(2000, 24) == 1
+
+    def test_long_series_matrix_unchanged_across_block_sizes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ev = rng.normal(size=(7, 128))
+        ref = rng.normal(size=(5, 128))
+        whole = dtw_pairwise(ev, ref)
+        for cells in (1, 5 * 129 * 2, 5 * 129 * 3, 10**9):
+            monkeypatch.setattr(dtw_module, "_BLOCK_CELLS", cells)
+            assert np.array_equal(dtw_pairwise(ev, ref), whole)
+        assert whole[2, 3] == dtw_distance(ev[2], ref[3])
 
     def test_processes_bitwise_equal_to_oracle(self):
         rng = np.random.default_rng(6)

@@ -259,6 +259,31 @@ class TestPairwiseWilcoxon:
         assert rows[0]["p_value"] is None
         assert "skipped" in rows[0]["method"]
 
+    def test_nan_values_are_dropped_not_ranked(self):
+        nan = float("nan")
+        y = [0.2, 0.1, 0.3, 0.1, 0.9, 0.2, 0.1]
+        [row] = pairwise_wilcoxon({"x": [nan] * 7, "y": y})
+        assert row["n_dropped"] == 7 and row["p_value"] is None and row["n_effective"] is None
+        assert row["method"] == "skipped: no paired values"
+        x = [nan, 1.0, 2.0, 3.0, 4.0, nan, 6.0, 7.0, 8.0]
+        z = [0.5, 0.25, 0.5, nan, 0.75, 0.5, 1.0, 0.5, 0.25]
+        [row] = pairwise_wilcoxon({"x": x, "z": z})
+        kept = [1, 2, 4, 6, 7, 8]
+        expected = wilcoxon_signed_rank(np.array(x)[kept], np.array(z)[kept])
+        assert row["n_dropped"] == 3 and row["n_effective"] == 6
+        assert (row["statistic"], row["p_value"], row["method"]) == (
+            expected.statistic, expected.p_value, "exact")
+
+    def test_defined_pairs_record_no_drop(self):
+        rows = pairwise_wilcoxon({"a": np.arange(1.0, 7.0), "b": np.zeros(6)})
+        assert rows[0]["n_dropped"] == 0 and rows[0]["method"] == "exact"
+
+    def test_signed_rank_refuses_nan_and_empty_input(self):
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(np.array([1.0, 2, np.nan, 4, 5, 6]), np.zeros(6))
+        with pytest.raises(ValueError, match="no paired values"):
+            wilcoxon_signed_rank(np.zeros(0), np.zeros(0))
+
 
 class TestGeneralizationEval:
     def test_reports_d_test_without_updates(self):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tsadv.autodiff as ad
 from tsadv.models import (
     ArchitectureConfig,
     TrainConfig,
@@ -13,8 +18,11 @@ from tsadv.models import (
 )
 from tsadv.autodiff import Tensor
 from tsadv.data import Dataset, TimeSeries
-from tsadv.nn import load_model, predict
+from tsadv.nn import chunk_rows, input_gradient_with_probs, predict
 from tsadv.synthetic import make_bump_dataset
+from tsadv.util import softmax_np
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def param_count(net) -> int:
@@ -129,29 +137,6 @@ class TestGATN:
         with pytest.raises(ValueError, match="hidden"):
             build_gatn(cfg(architecture="gatn", gatn_hidden_units=()))
 
-    def test_loads_file_with_leading_concat_layer(self, tmp_path):
-        """Generator files saved while the GATN joined [x, x_tilde] with a
-        stateless leading concat layer still load, with the same parameters."""
-        import json
-
-        net = build_gatn(cfg(architecture="gatn", input_length=20, seed=5))
-        net.training_log.append({"epoch": 0, "loss": 0.5})
-        # that file layout: a concat spec first, so dense arrays start at layer1
-        meta = {"format_version": 1, "architecture": "gatn", "rng_seed": 5,
-                "layers": [{"kind": "concat"}] + [layer.spec() for layer in net.layers],
-                "training_log": net.training_log}
-        arrays = {f"layer{i + 1}.{name}": arr for i, layer in enumerate(net.layers)
-                  for name, arr in layer.state().items()}
-        path = tmp_path / "gatn_beta_1e-02.npz"
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-                 **arrays)
-        back = load_model(path)
-        assert [layer.kind for layer in back.layers] == [layer.kind for layer in net.layers]
-        assert back.state_hash() == net.state_hash()
-        assert back.training_log == net.training_log
-        joined = np.random.default_rng(6).normal(size=(4, 40)).astype(np.float32)
-        assert np.array_equal(back.forward(Tensor(joined)).data, net.forward(Tensor(joined)).data)
-
 
 class TestTrainClassifier:
     def test_bump_dataset_reaches_95_percent(self):
@@ -193,3 +178,100 @@ class TestTrainClassifier:
                 _, probs = predict(net, rng.normal(size=(2, 1, length)).astype(np.float32))
                 assert probs.shape == (2, classes)
                 assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-5
+
+
+class TestChunkedPasses:
+    """Whole-split passes run in row chunks sized by the shapes alone, and an
+    FCN's chunked results are the bits of one pass over every row."""
+
+    @staticmethod
+    def single_pass(net, x, target_class):
+        xt = Tensor(x, requires_grad=True)
+        logits = net.forward(xt, training=False)
+        probs = ad.softmax(logits, axis=1)
+        mask = np.zeros(logits.data.shape[1], dtype=logits.data.dtype)
+        mask[target_class] = 1
+        ad.tsum(probs * Tensor(mask)).backward()
+        return xt.grad, probs.data, logits.data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fcn_chunks_equal_one_pass(self, dtype):
+        net = build_fcn(cfg(input_length=24, num_classes=3, seed=2, dtype=dtype))
+        for layer in [layer for layer in net.layers if layer.kind == "batchnorm"]:
+            # running statistics away from 0 and 1
+            layer.running_mean = np.linspace(-0.5, 0.5, layer.num_features).astype(dtype)
+            layer.running_var = np.linspace(0.5, 2.0, layer.num_features).astype(dtype)
+        rows = chunk_rows(net, (1, 1, 24))
+        x = np.random.default_rng(3).normal(size=(2 * rows + 7, 1, 24)).astype(dtype)
+        logits, probs = predict(net, x)
+        grad, g_probs, g_logits = input_gradient_with_probs(net, x, 1)
+        one_grad, one_probs, one_logits = self.single_pass(net, x, 1)
+        one_pred_logits = net.forward(Tensor(x), training=False).data
+        assert np.array_equal(one_pred_logits, one_logits)
+        assert logits.dtype == dtype and np.array_equal(logits, one_logits)
+        assert np.array_equal(probs, softmax_np(one_logits, axis=1))
+        assert grad.dtype == dtype and grad.shape == x.shape
+        assert np.array_equal(grad, one_grad)
+        assert np.array_equal(g_probs, one_probs) and np.array_equal(g_logits, one_logits)
+
+    def test_chunk_rows_are_a_function_of_the_shapes(self):
+        # 2**21 elements over the widest per-row conv buffer, 256 * 3 * L for the fcn
+        for seed, classes in ((0, 2), (5, 4)):
+            net = build_fcn(cfg(input_length=24, num_classes=classes, seed=seed))
+            assert [chunk_rows(net, (n, 1, 24)) for n in (1, 515, 10**6)] == [113] * 3
+            assert chunk_rows(net, (515, 1, 128)) == 21
+            assert chunk_rows(net, (515, 1, 1024)) == 2
+        lenet = build_lenet5_1d(cfg(input_length=24, architecture="lenet5"))
+        assert chunk_rows(lenet, (1029, 1, 24)) == 2912
+
+    def test_lenet5_makes_one_chunk_at_1029_rows(self):
+        net = build_lenet5_1d(cfg(input_length=24, num_classes=3, architecture="lenet5", seed=1))
+        x = np.random.default_rng(4).normal(size=(1029, 1, 24)).astype(np.float32)
+        batches = []
+        forward = net.forward
+        net.forward = lambda h, training=False: batches.append(len(h.data)) or forward(h, training)
+        logits, _ = predict(net, x)
+        grad, _, g_logits = input_gradient_with_probs(net, x, 2)
+        assert batches == [1029, 1029]
+        assert np.array_equal(logits, g_logits) and grad.shape == x.shape
+
+    def test_edge_inputs(self):
+        net = build_fcn(cfg(input_length=24, num_classes=3, seed=2))
+        series = np.random.default_rng(5).normal(size=24)
+        logits, probs = predict(net, as_conv_input(series))
+        grad, _, g_logits = input_gradient_with_probs(net, as_conv_input(series), 0)
+        assert logits.shape == probs.shape == (1, 3) and grad.shape == (1, 1, 24)
+        assert np.array_equal(logits, g_logits)
+        with pytest.raises(ValueError, match="out of range"):
+            input_gradient_with_probs(net, as_conv_input(series), 3)
+
+    def test_target_class_checked_before_any_chunk(self):
+        net = build_fcn(cfg(input_length=24, num_classes=2))
+        calls = []
+        net.forward = lambda *args, **kwargs: calls.append(1)
+        with pytest.raises(ValueError, match="out of range"):
+            input_gradient_with_probs(net, np.zeros((300, 1, 24), dtype=np.float32), 2)
+        assert calls == []
+
+    def test_tracked_fcn_pass_peak_memory_is_bounded(self):
+        """One tracked FCN pass over 515 series of length 128, in a fresh
+        interpreter, peaks well below the 748 MB its unchunked inference pass
+        alone needed."""
+        script = (
+            "import numpy as np\n"
+            "from tsadv.models import ArchitectureConfig, build_fcn\n"
+            "from tsadv.nn import input_gradient_with_probs\n"
+            "net = build_fcn(ArchitectureConfig(input_length=128, num_classes=2,"
+            " architecture='fcn'))\n"
+            "net.set_requires_grad(False)\n"
+            "x = np.random.default_rng(0).normal(size=(515, 1, 128)).astype(np.float32)\n"
+            "grad, probs, _ = input_gradient_with_probs(net, x, 1)\n"
+            "assert grad.shape == x.shape and probs.shape == (515, 2)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+        assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
