@@ -186,7 +186,7 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
     generator's dtype, and the teacher's labels of those, "adv_labels"
     [n_betas, N]; any count on d_eval can be made again from them.
     """
-    from .evaluate import count_adversaries_labeled
+    from .evaluate import count_adversaries
 
     runs = []
     reports = []
@@ -205,9 +205,8 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
         train_gatn(run, x, signal)
         x_hat = generate(run, x, signal)
         pred_adv = teacher.predict_labels(x_hat)
-        report = count_adversaries_labeled(
-            x, x_hat, d_eval.labels, pred_clean, pred_adv, dataset=d_eval.name,
-            box_mode=config.box_mode, teacher_kind=config.teacher_kind, beta=beta, split="d_eval")
+        report = count_adversaries("labeled", x, x_hat, d_eval.labels, pred_clean, pred_adv,
+                                   config, d_eval.name, "d_eval")
         runs.append(run)
         reports.append(report)
         x_hats.append(x_hat)

@@ -266,8 +266,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
         raise ValueError(f"conv1d input has {Cin} channels, weights expect {Cin_w}")
     if padding == "same":
         left = (K - 1) // 2
-        right = K - 1 - left
-        xp = np.pad(x.data, ((0, 0), (0, 0), (left, right)))
+        xp = np.zeros((B, Cin, L + K - 1), dtype=x.data.dtype)
+        xp[:, :, left : left + L] = x.data
     else:
         left = 0
         xp = x.data

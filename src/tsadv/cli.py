@@ -125,6 +125,26 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
     _write_json(os.path.join(out, "config.json"), echoed)
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory in the process, for a stage that runs a network.
+
+    By default glibc unmaps a freed buffer above its mmap threshold and trims
+    the heap's free top, so each whole-split pass faults its 1-16 MB buffers
+    back in 4 KiB at a time. M_MMAP_THRESHOLD (-3) is set first, to glibc's
+    64-bit maximum of 32 MiB, since setting M_TRIM_THRESHOLD (-1) alone would
+    freeze it at 128 KiB. A libc without ``mallopt``, or whose ``mallopt``
+    refuses (returns 0), is left as it is.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 1 << 30)
+
+
 def _file_sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -223,6 +243,7 @@ def cmd_train_teacher(args) -> int:
         from .models import ArchitectureConfig, TrainConfig, build_fcn, train_classifier
         from .nn import save_model
 
+        _keep_freed_memory()
         train_set = _load_split(out, "teacher_train", "train-teacher")
         model = build_fcn(ArchitectureConfig(input_length=train_set.length,
                                              num_classes=train_set.num_classes,
@@ -270,6 +291,7 @@ def cmd_distill(args) -> int:
         from .models import ArchitectureConfig, build_lenet5_1d
         from .nn import save_model
 
+        _keep_freed_memory()
         teacher, _ = _load_teacher(out, "distill")
         d_eval = _load_split(out, "d_eval", "distill")
         mode = "soft" if args.box == "white" else "hard"
@@ -353,6 +375,7 @@ def cmd_attack(args) -> int:
         from .attack import beta_grid_search
         from .nn import save_model
 
+        _keep_freed_memory()
         teacher, teacher_model, student_model = _surrogate_for(out, args.box, args.teacher,
                                                                "attack")
         d_eval = _load_split(out, "d_eval", "attack")
@@ -402,10 +425,10 @@ def cmd_evaluate(args) -> int:
     def write(stage: str) -> dict:
         import numpy as np
         from .attack import clean_labels, make_attack_run, surrogate_signal
-        from .evaluate import (count_adversaries_labeled, count_adversaries_unlabeled,
-                               generalization_eval)
+        from .evaluate import count_adversaries, generalization_eval
         from .nn import load_model
 
+        _keep_freed_memory()
         outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
         if not os.path.exists(outputs_path):
             raise MissingArtifactError(
@@ -433,15 +456,9 @@ def cmd_evaluate(args) -> int:
                 test_signal = surrogate_signal(run.surrogate, d_test.values, config.target_class,
                                                run.gatn.parameters()[0].dtype)
                 test_clean = clean_labels(teacher, run.surrogate, d_test.values, test_signal)
-            meta = dict(dataset=d_eval.name, box_mode=config.box_mode,
-                        teacher_kind=config.teacher_kind, beta=betas[i], split="d_eval")
-            if args.criterion == "labeled":
-                reports.append(count_adversaries_labeled(d_eval.values, eval_x_hat[i],
-                                                         d_eval.labels, eval_clean, eval_adv[i],
-                                                         **meta))
-            else:
-                reports.append(count_adversaries_unlabeled(d_eval.values, eval_x_hat[i],
-                                                           eval_clean, eval_adv[i], **meta))
+            reports.append(count_adversaries(args.criterion, d_eval.values, eval_x_hat[i],
+                                             d_eval.labels, eval_clean, eval_adv[i], config,
+                                             d_eval.name, "d_eval"))
             reports.append(generalization_eval(run, teacher, d_test, args.criterion,
                                                signal=test_signal, pred_clean=test_clean))
         save_reports_csv(reports, os.path.join(stage, "reports.csv"))

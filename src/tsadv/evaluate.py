@@ -62,6 +62,20 @@ def count_adversaries_unlabeled(x: np.ndarray, x_hat: np.ndarray, pred_clean: np
     return _build_report(x, x_hat, mask, criterion="unlabeled", **meta)
 
 
+def count_adversaries(criterion: str, x: np.ndarray, x_hat: np.ndarray, y_true: np.ndarray,
+                      pred_clean: np.ndarray, pred_adv: np.ndarray, config, dataset: str,
+                      split: str) -> AttackReport:
+    """:func:`count_adversaries_labeled` or :func:`count_adversaries_unlabeled`, by
+    ``criterion``; the report takes its box mode, teacher kind and beta from ``config``."""
+    meta = dict(dataset=dataset, box_mode=config.box_mode, teacher_kind=config.teacher_kind,
+                beta=config.beta, split=split)
+    if criterion == "labeled":
+        return count_adversaries_labeled(x, x_hat, y_true, pred_clean, pred_adv, **meta)
+    if criterion == "unlabeled":
+        return count_adversaries_unlabeled(x, x_hat, pred_clean, pred_adv, **meta)
+    raise ValueError(f"unknown criterion {criterion!r}")
+
+
 def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled",
                         signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                         pred_clean: np.ndarray | None = None) -> AttackReport:
@@ -77,8 +91,6 @@ def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled
     """
     from .attack import clean_labels, generate, surrogate_signal
 
-    if criterion not in ("labeled", "unlabeled"):
-        raise ValueError(f"unknown criterion {criterion!r}")
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
     if signal is None:
@@ -87,13 +99,8 @@ def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled
     x_hat = generate(run, x, signal)
     if pred_clean is None:
         pred_clean = clean_labels(teacher, run.surrogate, x, signal)
-    pred_adv = teacher.predict_labels(x_hat)
-    meta = dict(dataset=d_test.name, box_mode=run.config.box_mode,
-                teacher_kind=run.config.teacher_kind, beta=run.config.beta, split="d_test")
-    if criterion == "labeled":
-        report = count_adversaries_labeled(x, x_hat, d_test.labels, pred_clean, pred_adv, **meta)
-    else:
-        report = count_adversaries_unlabeled(x, x_hat, pred_clean, pred_adv, **meta)
+    report = count_adversaries(criterion, x, x_hat, d_test.labels, pred_clean,
+                               teacher.predict_labels(x_hat), run.config, d_test.name, "d_test")
     after = (run.gatn.state_hash(), run.surrogate.state_hash())
     if before != after:
         raise RuntimeError("model parameters changed during test-split evaluation")

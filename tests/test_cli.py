@@ -784,6 +784,7 @@ class TestEntryPoint:
             code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", *argv, "--out", out)
             assert code == 0 and "up to date" in stdout, argv
             assert "tsadv.config" in imported and not imports_numpy(imported), argv
+            assert "ctypes" not in imported, argv
 
     def test_dtw_teacher_stage_leaves_numpy_out(self, black_dtw_run, tmp_path):
         out = copy_run(black_dtw_run, tmp_path)
@@ -792,7 +793,7 @@ class TestEntryPoint:
             "--seed-teacher", "1")
         assert code == 0 and "up to date" not in stdout
         assert read_manifest(out, "teacher")["config"]["seed_teacher"] == 1
-        assert not imports_numpy(imported)
+        assert not imports_numpy(imported) and "ctypes" not in imported
 
     def test_one_variant_report_leaves_numpy_out(self, tmp_path):
         out = write_reports(tmp_path / "run", "Power")
@@ -800,7 +801,7 @@ class TestEntryPoint:
         code, _, _, imported = fresh_interpreter("-m", "tsadv.cli", "report",
                                                  "--out", str(report_dir), "--runs", out)
         assert code == 0 and "tsadv.reports" in imported
-        assert not imports_numpy(imported)
+        assert not imports_numpy(imported) and "ctypes" not in imported
         assert sorted(os.listdir(report_dir)) == [
             "plot_counts.csv", "plot_generalization.csv", "report.csv", "report.json",
             "wilcoxon_counts.json", "wilcoxon_mse.json"]
@@ -845,6 +846,64 @@ class TestEntryPoint:
         code, _, err, _ = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
         assert code == 1
         assert err.startswith("error:") and "tsadv attack" in err
+
+
+class TestKeepFreedMemory:
+    """`_keep_freed_memory`, which network stages call before their first pass."""
+
+    def test_each_network_stage_calls_it_once(self, tmp_path, monkeypatch):
+        import tsadv.cli as cli_module
+
+        calls = []
+        monkeypatch.setattr(cli_module, "_keep_freed_memory", lambda: calls.append(1))
+        out = str(tmp_path / "run")
+        per_stage = []
+        for argv in (("prepare", "--synthetic"),
+                     ("train-teacher", "--teacher", "fcn", "--epochs", "1"),
+                     ("distill", "--box", "white", "--epochs", "1"),
+                     ("attack", "--box", "white", "--teacher", "fcn", "--epochs", "1"),
+                     ("evaluate",), ("evaluate",)):
+            calls.clear()
+            assert run(*argv, "--out", out) == 0
+            per_stage.append(len(calls))
+        assert per_stage == [0, 1, 1, 1, 1, 0]  # the second evaluate is up to date
+
+    @staticmethod
+    def keep_with(monkeypatch, libc):
+        """Call the helper with ``libc`` standing in for the process's C library."""
+        import ctypes
+
+        import tsadv.cli as cli_module
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        cli_module._keep_freed_memory()
+
+    @staticmethod
+    def recording_mallopt(calls, result):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+        return mallopt
+
+    def test_sets_the_mmap_threshold_before_the_trim_threshold(self, monkeypatch):
+        from types import SimpleNamespace
+
+        calls = []
+        self.keep_with(monkeypatch, SimpleNamespace(mallopt=self.recording_mallopt(calls, 1)))
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_refusing_mallopt_gets_no_trim_threshold(self, monkeypatch):
+        """musl's stub returns 0; a trim threshold alone would pin glibc's mmap threshold."""
+        from types import SimpleNamespace
+
+        calls = []
+        self.keep_with(monkeypatch, SimpleNamespace(mallopt=self.recording_mallopt(calls, 0)))
+        assert calls == [(-3, 32 << 20)]
+
+    def test_libc_without_mallopt_is_left_alone(self, monkeypatch):
+        from types import SimpleNamespace
+
+        self.keep_with(monkeypatch, SimpleNamespace())
 
 
 class TestBatch:
