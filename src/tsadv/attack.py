@@ -30,26 +30,22 @@ class AttackRun:
     config: AttackConfig
     surrogate: Network
     gatn: Network
-    surrogate_is_teacher: bool
 
     def __post_init__(self):
-        if self.surrogate_is_teacher and not attacks_teacher(self.config.box_mode,
-                                                             self.config.teacher_kind):
-            raise ValueError(
-                "the teacher may be attacked directly only for a white-box attack "
-                "on the fcn teacher")
+        self.surrogate.set_requires_grad(False)
 
 
-def select_surrogate(box_mode: str, teacher_kind: str, teacher_model: Network | None,
-                     student: Network | None) -> tuple[Network, bool]:
-    """The model the generator differentiates through (see :func:`attacks_teacher`)."""
-    if attacks_teacher(box_mode, teacher_kind):
-        if teacher_model is None:
+def select_surrogate(config: AttackConfig, teacher, student: Network | None) -> Network:
+    """The network the generator differentiates through: the teacher's own for a
+    white-box attack on the fcn teacher (:func:`attacks_teacher`), else ``student``."""
+    if attacks_teacher(config.box_mode, config.teacher_kind):
+        if getattr(teacher, "model", None) is None:
             raise ValueError("white-box fcn attack needs the teacher network")
-        return teacher_model, True
+        return teacher.model
     if student is None:
-        raise ValueError(f"({box_mode}, {teacher_kind}) attack needs a distilled student")
-    return student, False
+        raise ValueError(f"({config.box_mode}, {config.teacher_kind}) attack needs a "
+                         f"distilled student")
+    return student
 
 
 def rerank(y: np.ndarray, target_class: int, alpha: float) -> np.ndarray:
@@ -79,16 +75,12 @@ def gatn_loss(x, x_hat, y_clean: np.ndarray, y_adv, config: AttackConfig):
     return config.beta * l2(x_hat, x) + l2(y_adv, target)
 
 
-def make_attack_run(config: AttackConfig, input_length: int, teacher_model: Network | None,
-                    student: Network | None) -> AttackRun:
-    """Build an untrained generator and wire it to the routed surrogate."""
-    surrogate, is_teacher = select_surrogate(config.box_mode, config.teacher_kind,
-                                             teacher_model, student)
+def make_attack_run(config: AttackConfig, input_length: int, surrogate: Network) -> AttackRun:
+    """Build an untrained generator wired to ``surrogate`` (see :func:`select_surrogate`)."""
     gatn = build_gatn(ArchitectureConfig(
         input_length=input_length, num_classes=2, architecture="gatn",
         gatn_hidden_units=tuple(config.gatn_hidden_units), seed=config.seed))
-    surrogate.set_requires_grad(False)
-    return AttackRun(config, surrogate, gatn, surrogate_is_teacher=is_teacher)
+    return AttackRun(config, surrogate, gatn)
 
 
 def surrogate_signal(surrogate: Network, x: np.ndarray, target_class: int,
@@ -173,10 +165,10 @@ def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
     return run
 
 
-def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
-                     teacher_model: Network | None = None, student: Network | None = None,
+def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher, surrogate: Network,
                      betas: tuple[float, ...] = BETA_GRID, pred_clean: np.ndarray | None = None):
-    """Train one generator per beta, score each on the real teacher, pick the best.
+    """Train one generator per beta against ``surrogate``, score each on the real
+    teacher, pick the best.
 
     ``pred_clean`` is the teacher's label for each d_eval series, taken by
     :func:`clean_labels` when not given. Returns (runs, reports, best_index,
@@ -196,7 +188,7 @@ def beta_grid_search(base_config: AttackConfig, d_eval: Dataset, teacher,
     signal = None
     for beta in betas:
         config = replace(base_config, beta=beta)
-        run = make_attack_run(config, x.shape[1], teacher_model, student)
+        run = make_attack_run(config, x.shape[1], surrogate)
         if signal is None:
             signal = surrogate_signal(run.surrogate, x, config.target_class,
                                       run.gatn.parameters()[0].dtype)

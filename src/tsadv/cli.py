@@ -27,6 +27,7 @@ import sys
 import traceback
 from collections import Counter
 from collections.abc import Callable
+from dataclasses import replace
 
 from .config import (BETA_GRID, AttackConfig, DistillConfig, TrainingDivergedError,
                      attacks_teacher, config_hash)
@@ -265,13 +266,9 @@ def _load_teacher(out: str, needed_by: str):
     from .nn import load_model
     from .teachers import DTW1NNTeacher, FCNTeacher
 
-    manifest = _load_manifest(out, "teacher", needed_by)
-    kind = manifest["teacher_kind"]
-    if kind == "fcn":
-        model = load_model(os.path.join(out, "teacher", "fcn.npz"))
-        return FCNTeacher(model), model
-    train_set = _load_split(out, "teacher_train", needed_by)
-    return DTW1NNTeacher.from_dataset(train_set), None
+    if _load_manifest(out, "teacher", needed_by)["teacher_kind"] == "fcn":
+        return FCNTeacher(load_model(os.path.join(out, "teacher", "fcn.npz")))
+    return DTW1NNTeacher.from_dataset(_load_split(out, "teacher_train", needed_by))
 
 
 def cmd_distill(args) -> int:
@@ -292,7 +289,7 @@ def cmd_distill(args) -> int:
         from .nn import save_model
 
         _keep_freed_memory()
-        teacher, _ = _load_teacher(out, "distill")
+        teacher = _load_teacher(out, "distill")
         d_eval = _load_split(out, "d_eval", "distill")
         mode = "soft" if args.box == "white" else "hard"
         outputs = teacher_outputs(teacher, d_eval.values, mode=mode)
@@ -314,35 +311,37 @@ def cmd_distill(args) -> int:
 
 
 def _student_manifest(out: str, box: str, teacher_kind: str, teacher_hash: str,
-                      needed_by: str) -> dict | None:
+                      needed_by: str, attack: dict | None = None) -> dict | None:
     """Manifest of the distilled student an attack of this kind goes after, if any.
 
-    The student must have been distilled from the teacher stage whose config
-    hash is ``teacher_hash``, and a black-box attack accepts only a student
-    distilled from hard labels.
+    This is the numpy-free check `attack` and `evaluate` make before they load
+    a network. The student must have been distilled from the teacher stage
+    whose config hash is ``teacher_hash``, and a black-box attack accepts only
+    a student distilled from hard labels. ``attack``, the config of an attack
+    stage, must have been run against that teacher stage and this student.
     """
-    if attacks_teacher(box, teacher_kind):
-        return None
-    manifest = _load_manifest(out, "student", needed_by)
-    if manifest["config"]["teacher"] != teacher_hash:
-        raise MissingArtifactError(
-            f"{needed_by} needs a student distilled from the current teacher stage; "
-            f"rerun `tsadv distill` first")
-    if box == "black" and manifest["mode"] != "hard":
-        raise MissingArtifactError(
-            f"black-box {needed_by} needs a student distilled from hard labels, but the student "
-            f"stage used {manifest['mode']} targets; rerun `tsadv distill --box black` first")
-    return manifest
-
-
-def _surrogate_for(out: str, box: str, teacher_kind: str, needed_by: str):
-    """Teacher, teacher network and student; call after :func:`_student_manifest`."""
-    from .nn import load_model
-
-    teacher, teacher_model = _load_teacher(out, needed_by)
-    if attacks_teacher(box, teacher_kind):
-        return teacher, teacher_model, None
-    return teacher, teacher_model, load_model(os.path.join(out, "student", "student.npz"))
+    student = None
+    if not attacks_teacher(box, teacher_kind):
+        student = _load_manifest(out, "student", needed_by)
+        if student["config"]["teacher"] != teacher_hash:
+            raise MissingArtifactError(
+                f"{needed_by} needs a student distilled from the current teacher stage; "
+                f"rerun `tsadv distill` first")
+        if box == "black" and student["mode"] != "hard":
+            raise MissingArtifactError(
+                f"black-box {needed_by} needs a student distilled from hard labels, but the "
+                f"student stage used {student['mode']} targets; rerun `tsadv distill --box black` "
+                f"first")
+    if attack is not None:
+        for stage, used, current in (
+                ("teacher", attack.get("teacher_hash"), teacher_hash),
+                ("student", attack.get("student_hash"),
+                 None if student is None else student["state_hash"])):
+            if used != current:
+                raise MissingArtifactError(
+                    f"{needed_by} needs an attack stage run against the current {stage} stage; "
+                    f"rerun `tsadv attack` first")
+    return student
 
 
 def cmd_attack(args) -> int:
@@ -372,20 +371,20 @@ def cmd_attack(args) -> int:
 
     def write(stage: str) -> dict:
         import numpy as np
-        from .attack import beta_grid_search
-        from .nn import save_model
+        from .attack import beta_grid_search, select_surrogate
+        from .nn import load_model, save_model
 
         _keep_freed_memory()
-        teacher, teacher_model, student_model = _surrogate_for(out, args.box, args.teacher,
-                                                               "attack")
+        teacher = _load_teacher(out, "attack")
+        surrogate = select_surrogate(base, teacher, None if student is None else load_model(
+            os.path.join(out, "student", "student.npz")))
         d_eval = _load_split(out, "d_eval", "attack")
         pred_clean = None
         if reuse_labels:
             with np.load(labels_path) as saved:
                 pred_clean = saved["hard_labels"]
         runs, reports, best, outputs = beta_grid_search(
-            base, d_eval, teacher, teacher_model=teacher_model, student=student_model,
-            betas=tuple(betas), pred_clean=pred_clean)
+            base, d_eval, teacher, surrogate, betas=tuple(betas), pred_clean=pred_clean)
         gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
         for run, fname in zip(runs, gatn_files):
             save_model(run.gatn, os.path.join(stage, fname))
@@ -395,7 +394,8 @@ def cmd_attack(args) -> int:
         print(f"[attack] best beta {betas[best]:.0e}: "
               f"{reports[best].num_adversaries}/{reports[best].n_evaluated} d_eval adversaries")
         return {"betas": betas, "gatn_files": gatn_files, "best_index": best,
-                "best_beta": betas[best], "surrogate_is_teacher": runs[best].surrogate_is_teacher,
+                "best_beta": betas[best],
+                "surrogate_is_teacher": attacks_teacher(args.box, args.teacher),
                 "gatn_state_hashes": [run.gatn.state_hash() for run in runs],
                 "teacher_calls": dict(teacher.calls)}
 
@@ -415,7 +415,8 @@ def cmd_evaluate(args) -> int:
     attack_manifest = _load_manifest(out, "attack", "evaluate")
     acfg = attack_manifest["config"]
     teacher_hash = _load_manifest(out, "teacher", "evaluate")["config_hash"]
-    student = _student_manifest(out, acfg["box"], acfg["teacher"], teacher_hash, "evaluate")
+    student = _student_manifest(out, acfg["box"], acfg["teacher"], teacher_hash, "evaluate",
+                                attack=acfg)
     cfg = {"attack": attack_manifest["config_hash"],
            "gatn_state_hashes": attack_manifest["gatn_state_hashes"],
            "teacher_hash": teacher_hash,
@@ -424,7 +425,7 @@ def cmd_evaluate(args) -> int:
 
     def write(stage: str) -> dict:
         import numpy as np
-        from .attack import clean_labels, make_attack_run, surrogate_signal
+        from .attack import AttackRun, clean_labels, select_surrogate, surrogate_signal
         from .evaluate import count_adversaries, generalization_eval
         from .nn import load_model
 
@@ -434,33 +435,31 @@ def cmd_evaluate(args) -> int:
             raise MissingArtifactError(
                 f"evaluate needs {outputs_path}, which this attack stage does not have; "
                 f"rerun `tsadv attack` first")
-        teacher, teacher_model, student_model = _surrogate_for(out, acfg["box"], acfg["teacher"],
-                                                               "evaluate")
+        base = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
+                            alpha=acfg["alpha"], target_class=acfg["target_class"],
+                            seed=acfg["seed_gatn"])
+        teacher = _load_teacher(out, "evaluate")
+        surrogate = select_surrogate(base, teacher, None if student is None else load_model(
+            os.path.join(out, "student", "student.npz")))
         d_eval = _load_split(out, "d_eval", "evaluate")
         d_test = _load_split(out, "d_test", "evaluate")
         with np.load(outputs_path) as saved:
             eval_clean, eval_x_hat, eval_adv = (saved["clean_labels"], saved["x_hat"],
                                                 saved["adv_labels"])
-        test_signal = test_clean = None
         betas = attack_manifest["betas"]
         indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
+        runs = [AttackRun(replace(base, beta=betas[i]), surrogate, load_model(
+            os.path.join(out, "attack", attack_manifest["gatn_files"][i]))) for i in indices]
+        test_signal = surrogate_signal(surrogate, d_test.values, base.target_class,
+                                       runs[0].gatn.parameters()[0].dtype)
+        test_clean = clean_labels(teacher, surrogate, d_test.values, test_signal)
         reports = []
-        for i in indices:
-            config = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
-                                  alpha=acfg["alpha"], beta=betas[i],
-                                  target_class=acfg["target_class"], seed=acfg["seed_gatn"])
-            run = make_attack_run(config, input_length=d_eval.length,
-                                  teacher_model=teacher_model, student=student_model)
-            run.gatn = load_model(os.path.join(out, "attack", attack_manifest["gatn_files"][i]))
-            if test_signal is None:
-                test_signal = surrogate_signal(run.surrogate, d_test.values, config.target_class,
-                                               run.gatn.parameters()[0].dtype)
-                test_clean = clean_labels(teacher, run.surrogate, d_test.values, test_signal)
+        for i, run in zip(indices, runs):
             reports.append(count_adversaries(args.criterion, d_eval.values, eval_x_hat[i],
-                                             d_eval.labels, eval_clean, eval_adv[i], config,
+                                             d_eval.labels, eval_clean, eval_adv[i], run.config,
                                              d_eval.name, "d_eval"))
             reports.append(generalization_eval(run, teacher, d_test, args.criterion,
-                                               signal=test_signal, pred_clean=test_clean))
+                                               test_signal, test_clean))
         save_reports_csv(reports, os.path.join(stage, "reports.csv"))
         save_reports_json(reports, os.path.join(stage, "reports.json"),
                           provenance={"out": out, "criterion": args.criterion})

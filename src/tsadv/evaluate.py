@@ -76,29 +76,23 @@ def count_adversaries(criterion: str, x: np.ndarray, x_hat: np.ndarray, y_true: 
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def generalization_eval(run, teacher, d_test: Dataset, criterion: str = "labeled",
-                        signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                        pred_clean: np.ndarray | None = None) -> AttackReport:
+def generalization_eval(run, teacher, d_test: Dataset, criterion: str,
+                        signal: tuple[np.ndarray, np.ndarray, np.ndarray],
+                        pred_clean: np.ndarray) -> AttackReport:
     """Counting on the unseen split with zero parameter updates.
 
-    ``signal`` (``attack.surrogate_signal`` of ``d_test``) and ``pred_clean``
-    (the teacher's labels of ``d_test``, by ``attack.clean_labels``) are
-    computed here when not given, so that every generator evaluated on the
-    split can share one of each; the teacher's labels of the crafted series
-    are always queried here. Generator and surrogate state are hashed before
-    and after; any drift is an error, since generation must be a pure
-    forward pass.
+    ``signal`` is ``attack.surrogate_signal`` of ``d_test`` and ``pred_clean``
+    the teacher's labels of it (``attack.clean_labels``), so that every
+    generator evaluated on the split shares one of each; the teacher's labels
+    of the crafted series are queried here. Generator and surrogate state are
+    hashed before and after; any drift is an error, since generation must be
+    a pure forward pass.
     """
-    from .attack import clean_labels, generate, surrogate_signal
+    from .attack import generate
 
     before = (run.gatn.state_hash(), run.surrogate.state_hash())
     x = d_test.values
-    if signal is None:
-        signal = surrogate_signal(run.surrogate, x, run.config.target_class,
-                                  run.gatn.parameters()[0].dtype)
     x_hat = generate(run, x, signal)
-    if pred_clean is None:
-        pred_clean = clean_labels(teacher, run.surrogate, x, signal)
     report = count_adversaries(criterion, x, x_hat, d_test.labels, pred_clean,
                                teacher.predict_labels(x_hat), run.config, d_test.name, "d_test")
     after = (run.gatn.state_hash(), run.surrogate.state_hash())

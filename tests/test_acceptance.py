@@ -19,9 +19,11 @@ import tsadv.autodiff as ad
 from tsadv.attack import (
     AttackConfig,
     beta_grid_search,
+    clean_labels,
     make_attack_run,
     select_surrogate,
     rerank,
+    surrogate_signal,
     train_gatn,
 )
 from tsadv.autodiff import Tensor
@@ -91,9 +93,11 @@ def run_white_box_fcn_pipeline(train: Dataset, pool: Dataset, gatn_epochs: int) 
     base = AttackConfig(box_mode="white", teacher_kind="fcn", alpha=1.5, beta=1e-1,
                         target_class=1, seed=0, epochs=gatn_epochs)
     t0 = time.time()
-    runs, reports, best, _ = beta_grid_search(base, split.d_eval, teacher,
-                                              teacher_model=teacher_net)
-    test_report = generalization_eval(runs[best], teacher, split.d_test)
+    surrogate = select_surrogate(base, teacher, None)
+    runs, reports, best, _ = beta_grid_search(base, split.d_eval, teacher, surrogate)
+    signal = surrogate_signal(surrogate, split.d_test.values, base.target_class)
+    test_report = generalization_eval(runs[best], teacher, split.d_test, "labeled", signal,
+                                      clean_labels(teacher, surrogate, split.d_test.values, signal))
     attack_seconds = time.time() - t0
     return PipelineResult(
         train=train, d_eval=split.d_eval, d_test=split.d_test,
@@ -342,12 +346,18 @@ def test_criterion_07_surrogate_routing():
                                                    architecture="fcn"))
         student = build_lenet5_1d(ArchitectureConfig(input_length=16, num_classes=2,
                                                      architecture="lenet5"))
+        teacher = FCNTeacher(teacher_net)
         for box, kind in itertools.product(("white", "black"), ("fcn", "dtw1nn")):
-            surrogate, is_teacher = select_surrogate(box, kind, teacher_net, student)
+            config = AttackConfig(box_mode=box, teacher_kind=kind)
+            surrogate = select_surrogate(config, teacher, student)
             if (box, kind) == ("white", "fcn"):
-                assert is_teacher and surrogate is teacher_net
+                assert surrogate is teacher_net
+                with pytest.raises(ValueError, match="teacher network"):
+                    select_surrogate(config, None, student)
             else:
-                assert not is_teacher and surrogate is student
+                assert surrogate is student
+                with pytest.raises(ValueError, match="student"):
+                    select_surrogate(config, teacher, None)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +381,7 @@ def test_criterion_08_black_box_hygiene(synthetic_pipeline):
                                                          architecture="lenet5", seed=8))
             train_student(student, split, outputs, DistillConfig(gamma=1.0, epochs=10, seed=8))
             run = make_attack_run(AttackConfig(box_mode="black", teacher_kind="fcn",
-                                               epochs=5, seed=8), 32, None, student)
+                                               epochs=5, seed=8), 32, student)
             train_gatn(run, split)
             artifacts.append((student.state_hash(), run.gatn.state_hash()))
         assert artifacts[0] == artifacts[1], "ground-truth labels leaked into training"

@@ -16,10 +16,11 @@ from tsadv.attack import (
     train_gatn,
 )
 from tsadv.distill import DistillConfig, teacher_outputs, train_student
-from tsadv.models import ArchitectureConfig, TrainConfig, build_fcn, build_lenet5_1d, train_classifier
+from tsadv.models import (ArchitectureConfig, TrainConfig, build_fcn, build_gatn, build_lenet5_1d,
+                          train_classifier)
 from tsadv.nn import predict
 from tsadv.synthetic import make_bump_dataset
-from tsadv.teachers import FCNTeacher
+from tsadv.teachers import DTW1NNTeacher, FCNTeacher
 
 
 def attack_config(**kwargs):
@@ -167,27 +168,40 @@ class TestSurrogateRouting:
                                                    architecture="fcn"))
         student = build_lenet5_1d(ArchitectureConfig(input_length=16, num_classes=2,
                                                      architecture="lenet5"))
+        teacher = FCNTeacher(teacher_net)
         for box in ("white", "black"):
             for kind in ("fcn", "dtw1nn"):
-                surrogate, is_teacher = select_surrogate(box, kind, teacher_net, student)
+                surrogate = select_surrogate(attack_config(box_mode=box, teacher_kind=kind),
+                                             teacher, student)
                 if box == "white" and kind == "fcn":
-                    assert is_teacher and surrogate is teacher_net
+                    assert surrogate is teacher_net
                 else:
-                    assert not is_teacher and surrogate is student
+                    assert surrogate is student
 
     def test_missing_student_rejected(self):
         teacher_net = build_fcn(ArchitectureConfig(input_length=16, num_classes=2,
                                                    architecture="fcn"))
         with pytest.raises(ValueError, match="student"):
-            select_surrogate("black", "fcn", teacher_net, None)
+            select_surrogate(attack_config(box_mode="black"), FCNTeacher(teacher_net), None)
 
-    def test_run_invariant_enforced(self):
-        teacher_net = build_fcn(ArchitectureConfig(input_length=16, num_classes=2,
-                                                   architecture="fcn"))
-        gatn = make_attack_run(attack_config(), 16, teacher_net, None).gatn
-        with pytest.raises(ValueError, match="directly only"):
-            AttackRun(config=attack_config(box_mode="black"), surrogate=teacher_net,
-                      gatn=gatn, surrogate_is_teacher=True)
+    def test_missing_teacher_network_rejected(self):
+        student = build_lenet5_1d(ArchitectureConfig(input_length=16, num_classes=2,
+                                                     architecture="lenet5"))
+        dtw_teacher = DTW1NNTeacher(np.zeros((2, 16)), np.array([0, 1]))
+        for teacher in (None, dtw_teacher):
+            with pytest.raises(ValueError, match="teacher network"):
+                select_surrogate(attack_config(), teacher, student)
+
+    def test_run_freezes_its_surrogate(self):
+        """Also a run built from a saved generator, as evaluate builds one."""
+        surrogate = build_fcn(ArchitectureConfig(input_length=16, num_classes=2,
+                                                 architecture="fcn"))
+        gatn = build_gatn(ArchitectureConfig(input_length=16, num_classes=2,
+                                             architecture="gatn"))
+        assert all(p.requires_grad for p in surrogate.parameters())
+        AttackRun(attack_config(), surrogate, gatn)
+        assert not any(p.requires_grad for p in surrogate.parameters())
+        assert all(p.requires_grad for p in gatn.parameters())
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -199,7 +213,7 @@ class TestSurrogateRouting:
 
 class TestGenerate:
     def test_deterministic_and_shape(self, trained_teacher, eval_split):
-        run = make_attack_run(attack_config(), 32, trained_teacher, None)
+        run = make_attack_run(attack_config(), 32, trained_teacher)
         x = eval_split.values[:5]
         a1 = generate(run, x)
         a2 = generate(run, x)
@@ -207,7 +221,7 @@ class TestGenerate:
         assert np.array_equal(a1, a2)
 
     def test_single_series(self, trained_teacher, eval_split):
-        run = make_attack_run(attack_config(), 32, trained_teacher, None)
+        run = make_attack_run(attack_config(), 32, trained_teacher)
         x_hat = generate(run, eval_split.values[0])
         assert x_hat.shape == (32,)
         # float32 BLAS rounds a 1-row product differently from a 5-row one
@@ -218,20 +232,20 @@ class TestGenerate:
         assert np.abs(y_clean.sum(axis=1) - 1).max() < 1e-6
 
     def test_length_mismatch_rejected(self, trained_teacher):
-        run = make_attack_run(attack_config(), 32, trained_teacher, None)
+        run = make_attack_run(attack_config(), 32, trained_teacher)
         with pytest.raises(ValueError):
             generate(run, np.zeros(16))
 
 
 class TestTrainGATN:
     def test_surrogate_frozen_bitwise(self, trained_teacher, eval_split):
-        run = make_attack_run(attack_config(epochs=3), 32, trained_teacher, None)
+        run = make_attack_run(attack_config(epochs=3), 32, trained_teacher)
         before = run.surrogate.state_hash()
         train_gatn(run, eval_split)
         assert run.surrogate.state_hash() == before
 
     def test_loss_decreases_on_toy_set(self, trained_teacher, eval_split):
-        run = make_attack_run(attack_config(epochs=30, beta=1e-3), 32, trained_teacher, None)
+        run = make_attack_run(attack_config(epochs=30, beta=1e-3), 32, trained_teacher)
         train_gatn(run, eval_split)
         log = run.gatn.training_log
         assert log[-1]["loss"] <= log[0]["loss"]
@@ -239,7 +253,7 @@ class TestTrainGATN:
     def test_training_is_deterministic(self, trained_teacher, eval_split):
         hashes = []
         for _ in range(2):
-            run = make_attack_run(attack_config(epochs=3), 32, trained_teacher, None)
+            run = make_attack_run(attack_config(epochs=3), 32, trained_teacher)
             train_gatn(run, eval_split)
             hashes.append(run.gatn.state_hash())
         assert hashes[0] == hashes[1]
@@ -251,7 +265,7 @@ class TestTrainGATN:
         for seed in range(5):
             for beta in (1e-1, 1e-5):
                 run = make_attack_run(attack_config(epochs=25, beta=beta, seed=seed),
-                                      32, trained_teacher, None)
+                                      32, trained_teacher)
                 train_gatn(run, x)
                 x_hat = generate(run, x)
                 mse[beta].append(float(((x_hat - x) ** 2).mean()))
@@ -263,7 +277,7 @@ class TestBetaGridSearch:
         teacher = FCNTeacher(trained_teacher)
         base = attack_config(epochs=8)
         runs, reports, best, outputs = beta_grid_search(base, eval_split, teacher,
-                                                        teacher_model=trained_teacher)
+                                                        trained_teacher)
         assert len(runs) == 5 and len(reports) == 5
         n, t = eval_split.values.shape
         assert outputs["clean_labels"].shape == (n,)
@@ -289,8 +303,7 @@ class TestBetaGridSearch:
 
         monkeypatch.setattr(attack_module, "surrogate_signal", counting)
         runs, _, _, _ = beta_grid_search(attack_config(epochs=1), eval_split,
-                                         FCNTeacher(trained_teacher),
-                                         teacher_model=trained_teacher)
+                                         FCNTeacher(trained_teacher), trained_teacher)
         assert len(runs) == len(BETA_GRID)
         assert calls == [eval_split.values.shape]
 
@@ -321,7 +334,7 @@ class TestBetaGridSearch:
         teacher_net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
                                                    architecture="fcn"))
         _, reports, best, _ = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
-                                               teacher_model=teacher_net)
+                                               teacher_net)
         assert [(r.num_adversaries, r.mse_adversaries) for r in reports] == [
             outcome[b] for b in BETA_GRID]
         assert BETA_GRID[best] == 1e-3
@@ -374,7 +387,7 @@ class TestCleanLabels:
 
         teacher = SimpleNamespace(predict_labels=predict_labels)
         _, _, _, outputs = beta_grid_search(attack_config(epochs=1), eval_split, teacher,
-                                            teacher_model=trained_teacher, betas=(1e-2,))
+                                            trained_teacher, betas=(1e-2,))
         assert calls == [len(eval_split), len(eval_split)]  # clean, then x_hat
         assert np.array_equal(outputs["clean_labels"],
                               FCNTeacher(trained_teacher).predict_labels(eval_split.values))
@@ -386,7 +399,7 @@ class TestBlackBoxHygiene:
         student = build_lenet5_1d(ArchitectureConfig(input_length=32, num_classes=2,
                                                      architecture="lenet5", seed=13))
         beta_grid_search(attack_config(box_mode="black", epochs=1), eval_split, teacher,
-                         student=student)
+                         student)
         assert teacher.calls == {"predict_labels": 1 + len(BETA_GRID), "predict_proba": 0}
 
     def test_black_box_pipeline_reads_no_probabilities_or_labels(self, trained_teacher):
@@ -413,8 +426,7 @@ class TestBlackBoxHygiene:
             student = build_lenet5_1d(ArchitectureConfig(input_length=32, num_classes=2,
                                                          architecture="lenet5", seed=12))
             train_student(student, split, outputs, DistillConfig(gamma=1.0, epochs=6, seed=12))
-            run = make_attack_run(attack_config(box_mode="black", epochs=3), 32,
-                                  None, student)
+            run = make_attack_run(attack_config(box_mode="black", epochs=3), 32, student)
             train_gatn(run, split)
             results.append((student.state_hash(), run.gatn.state_hash()))
         assert results[0] == results[1]

@@ -136,7 +136,7 @@ def recounted_reports(out, criterion, all_betas):
     attack stage: each saved generator is run on d_eval and d_test and every
     label is queried from the teacher.
     """
-    from tsadv.attack import AttackConfig, generate, make_attack_run
+    from tsadv.attack import AttackConfig, AttackRun, generate
     from tsadv.data import Dataset, load_ucr, remap_labels
     from tsadv.evaluate import count_adversaries_labeled, count_adversaries_unlabeled
     from tsadv.nn import load_model
@@ -166,8 +166,8 @@ def recounted_reports(out, criterion, all_betas):
         config = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
                               alpha=acfg["alpha"], beta=beta, target_class=acfg["target_class"],
                               seed=acfg["seed_gatn"])
-        attack_run = make_attack_run(config, d_eval.length, teacher_model, student)
-        attack_run.gatn = load_model(os.path.join(out, "attack", attack["gatn_files"][i]))
+        attack_run = AttackRun(config, teacher_model if student is None else student,
+                               load_model(os.path.join(out, "attack", attack["gatn_files"][i])))
         kwargs = dict(dataset=name, box_mode=acfg["box"], teacher_kind=acfg["teacher"], beta=beta)
         for split_name, ds in (("d_eval", d_eval), ("d_test", d_test)):
             x = ds.values
@@ -358,6 +358,50 @@ class TestAttackOutputsUpToDate:
         capsys.readouterr()
         assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
         assert "tsadv distill" in capsys.readouterr().err
+
+
+class TestStaleAttackStage:
+    """evaluate refuses an attack stage run against another teacher or student stage."""
+
+    def refused(self, out, capsys):
+        reports = read_manifest(out, "reports")
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rerun `tsadv attack`" in err
+        assert read_manifest(out, "reports") == reports
+        return err
+
+    def test_retrained_teacher(self, white_fcn_run, tmp_path, capsys):
+        out = copy_run(white_fcn_run, tmp_path)
+        assert run("train-teacher", "--out", out, "--teacher", "fcn", "--epochs", "80",
+                   "--early-stop-acc", "1.0", "--seed-teacher", "5") == 0
+        assert "current teacher stage" in self.refused(out, capsys)
+
+    def test_redistilled_student(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        first_student = read_manifest(out, "student")["state_hash"]
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "7") == 0
+        assert read_manifest(out, "student")["state_hash"] != first_student
+        assert "current student stage" in self.refused(out, capsys)
+
+    def test_teacher_switched_to_dtw1nn(self, white_fcn_run, tmp_path, capsys):
+        out = copy_run(white_fcn_run, tmp_path)
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        assert "current teacher stage" in self.refused(out, capsys)
+
+    def test_attack_with_a_student_the_route_has_not(self, white_fcn_run, tmp_path, capsys):
+        out = copy_run(white_fcn_run, tmp_path)
+        manifest = read_manifest(out, "attack")
+        manifest["config"]["student_hash"] = "0" * 16
+        with open(os.path.join(out, "attack", "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert "current student stage" in self.refused(out, capsys)
+
+    def test_manifest_records_the_route(self, white_fcn_run, black_dtw_run):
+        assert read_manifest(white_fcn_run, "attack")["surrogate_is_teacher"] is True
+        assert read_manifest(black_dtw_run, "attack")["surrogate_is_teacher"] is False
 
 
 class TestMissingListedFile:
@@ -839,6 +883,15 @@ class TestEntryPoint:
         assert "labeled in " + ", ".join(runs[:6]) in err
         assert "unlabeled in " + ", ".join(runs[6:]) in err
         assert not report_dir.exists()
+
+    def test_stale_attack_stage_is_an_error_line(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "7") == 0
+        code, _, err, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
+        assert code == 1
+        assert err.startswith("error:") and "rerun `tsadv attack`" in err
+        assert not imports_numpy(imported) and "ctypes" not in imported
 
     def test_missing_stage_is_an_error_line(self, tmp_path):
         out = str(tmp_path / "empty")

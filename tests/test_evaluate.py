@@ -287,7 +287,7 @@ class TestPairwiseWilcoxon:
 
 class TestGeneralizationEval:
     def test_reports_d_test_without_updates(self):
-        from tsadv.attack import make_attack_run
+        from tsadv.attack import clean_labels, make_attack_run, surrogate_signal
         from tsadv.models import ArchitectureConfig, TrainConfig, build_fcn, train_classifier
         from tsadv.synthetic import make_bump_dataset
         from tsadv.teachers import FCNTeacher
@@ -299,15 +299,18 @@ class TestGeneralizationEval:
                                            architecture="fcn", seed=4))
         train_classifier(net, train, TrainConfig(epochs=60, seed=4, early_stop_acc=1.0))
         config = AttackConfig(box_mode="white", teacher_kind="fcn", epochs=2, seed=0)
-        run = make_attack_run(config, 32, net, None)
-        gatn_before = run.gatn.state_hash()
-        report = generalization_eval(run, FCNTeacher(net), d_test)
+        run = make_attack_run(config, 32, net)
+        teacher = FCNTeacher(net)
+        signal = surrogate_signal(run.surrogate, d_test.values, config.target_class)
+        pred_clean = clean_labels(teacher, run.surrogate, d_test.values, signal)
+        before = (run.gatn.state_hash(), run.surrogate.state_hash())
+        report = generalization_eval(run, teacher, d_test, "labeled", signal, pred_clean)
         assert report.split == "d_test"
         assert report.criterion == "labeled"
-        assert run.gatn.state_hash() == gatn_before
+        assert (run.gatn.state_hash(), run.surrogate.state_hash()) == before
 
     def test_shared_signal_and_clean_labels_give_the_same_report(self):
-        from tsadv.attack import AttackConfig, make_attack_run, surrogate_signal
+        from tsadv.attack import AttackConfig, clean_labels, make_attack_run, surrogate_signal
         from tsadv.models import ArchitectureConfig, build_fcn
         from tsadv.synthetic import make_bump_dataset
         from tsadv.teachers import FCNTeacher
@@ -315,14 +318,17 @@ class TestGeneralizationEval:
         d_test = make_bump_dataset(n_per_class=8, length=32, seed=41, name="gen-test")
         net = build_fcn(ArchitectureConfig(input_length=32, num_classes=2,
                                            architecture="fcn", seed=4))
-        run = make_attack_run(AttackConfig(box_mode="white", teacher_kind="fcn"), 32, net, None)
-        signal = surrogate_signal(run.surrogate, d_test.values, run.config.target_class)
+        run = make_attack_run(AttackConfig(box_mode="white", teacher_kind="fcn"), 32, net)
+        target = run.config.target_class
+        signal = surrogate_signal(run.surrogate, d_test.values, target)
+        shared_clean = clean_labels(FCNTeacher(net), run.surrogate, d_test.values, signal)
         for criterion in ("labeled", "unlabeled"):
-            fresh = generalization_eval(run, FCNTeacher(net), d_test, criterion)
+            fresh = generalization_eval(run, FCNTeacher(net), d_test, criterion,
+                                        surrogate_signal(run.surrogate, d_test.values, target),
+                                        FCNTeacher(net).predict_labels(d_test.values))
             teacher = FCNTeacher(net)
-            shared = generalization_eval(run, teacher, d_test, criterion, signal=signal,
-                                         pred_clean=FCNTeacher(net).predict_labels(d_test.values))
+            shared = generalization_eval(run, teacher, d_test, criterion, signal, shared_clean)
             assert shared == fresh and shared.criterion == criterion
             assert teacher.calls == {"predict_labels": 1, "predict_proba": 0}
         with pytest.raises(ValueError, match="criterion"):
-            generalization_eval(run, FCNTeacher(net), d_test, "both")
+            generalization_eval(run, FCNTeacher(net), d_test, "both", signal, shared_clean)
