@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the graph in reverse topological order and
 accumulates gradients into every tensor created with ``requires_grad=True``.
-Only the operations the three network architectures need are provided.
+The walk frees each interior node once its own backward has run, so a graph
+takes one backward. Only the operations the three network architectures need
+are provided.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ class Tensor:
         return self.data.dtype
 
     def backward(self):
-        """Accumulate gradients of this scalar into all tracked ancestors."""
+        """Accumulate gradients of this scalar into all tracked ancestors.
+
+        Each interior node is released once its own backward has run: its
+        ``.grad`` and its backward closure, with the arrays it saved, are
+        dropped, and ``_parents`` becomes None, so a second backward through
+        it raises ValueError. Leaves keep ``.grad``; every tensor keeps ``.data``.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -47,15 +55,20 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ValueError("backward() through a graph an earlier backward() released")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = node._parents = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -84,8 +97,9 @@ def _wrap(value, dtype) -> Tensor:
 
 
 def _needs_grad(t: Tensor) -> bool:
-    """Whether a gradient reaching ``t`` is stored or propagated further."""
-    return t.requires_grad or t._backward is not None
+    """Whether a gradient reaching ``t`` is stored or propagated further; a
+    released node counts, so a graph built on it raises in its backward."""
+    return t.requires_grad or t._backward is not None or t._parents is None
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -277,17 +291,20 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     windows = sliding_window_view(xp, K, axis=2)  # [B, Cin, Lout, K]
     data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True)
     data += b.data[None, :, None]
+    need_w = _needs_grad(w)
+    if not need_w:
+        windows = None  # only the weight gradient reads the padded input
 
     def backward(g):
         if _needs_grad(b):
             _accumulate(b, g.sum(axis=(0, 2)))
-        if _needs_grad(w):
+        if need_w:
             _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
         if _needs_grad(x):
             # [Cin, K, B, Lout], the same GEMM as einsum("bol,ock->bclk"); each
             # k slice scatters into a contiguous [Cin, B, Lp] buffer
             d_windows = np.tensordot(w.data, g, axes=([0], [1]))
-            gxp = np.zeros((Cin, B, xp.shape[2]), dtype=xp.dtype)
+            gxp = np.zeros((Cin, B, l_out + K - 1), dtype=x.data.dtype)
             for k in range(K):
                 gxp[:, :, k : k + l_out] += d_windows[:, k]
             _accumulate(x, gxp.transpose(1, 0, 2)[:, :, left : left + L])

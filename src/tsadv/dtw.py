@@ -14,7 +14,6 @@ matrices fanned out over worker processes are bitwise identical too.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 
 import numpy as np
 
@@ -102,6 +101,8 @@ def dtw_pairwise(eval_values: np.ndarray, ref_values: np.ndarray,
     rows = _block_rows(ref_values.shape[0], eval_values.shape[1])
     blocks = [eval_values[s:s + rows] for s in range(0, eval_values.shape[0], rows)]
     if processes is not None and processes > 1:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(processes) as pool:
             parts = pool.map(functools.partial(_dtw_block, refs=ref_values), blocks)
     else:

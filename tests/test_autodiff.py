@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,6 +544,65 @@ class TestInputGradient:
         assert np.array_equal(g_frozen, g_tracked)
 
 
+def closure_arrays(fn):
+    """Every ndarray a closure holds, with the arrays it views."""
+    found = []
+    for cell in fn.__closure__ or ():
+        arr = cell.cell_contents
+        while hasattr(arr, "__array_interface__"):  # a stride-trick view's base is not an ndarray
+            if isinstance(arr, np.ndarray):
+                found.append(arr)
+            arr = arr.base
+    return found
+
+
+class TestGraphRelease:
+    """backward() releases each interior node once its own backward has run."""
+
+    def _graph(self):
+        rng = np.random.default_rng(60)
+        a, b = tracked(rng, 3, 4), tracked(rng, 4, 2)
+        z = ad.matmul(a, b)
+        h = ad.relu(z)
+        return a, b, z, h, ad.tsum(h * h)
+
+    def test_interior_node_is_freed_and_leaves_keep_their_grads(self):
+        a, b, z, h, loss = self._graph()
+        ref = weakref.ref(h.data)  # the node's output, which only the node holds
+        del h
+        loss.backward()
+        assert ref() is None
+        gz = 2 * np.maximum(z.data, 0)  # d sum(relu(z)^2) / dz
+        np.testing.assert_allclose(a.grad, gz @ b.data.T, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, a.data.T @ gz, rtol=1e-12)
+        assert z.data.shape == (3, 2) and z.grad is None and z._parents is None
+        assert float(loss.data) == float((np.maximum(z.data, 0) ** 2).sum())
+
+    def test_second_backward_raises_and_leaves_grads_alone(self):
+        a, b, z, h, loss = self._graph()
+        loss.backward()
+        grads = [a.grad.copy(), b.grad.copy()]
+        with pytest.raises(ValueError, match="released"):
+            loss.backward()
+        with pytest.raises(ValueError, match="released"):
+            ad.tsum(z * 2.0).backward()
+        assert np.array_equal(a.grad, grads[0]) and np.array_equal(b.grad, grads[1])
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_frozen_weight_conv1d_backward_holds_no_padded_input(self, frozen):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.normal(size=(4, 3, 10)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=not frozen)
+        bias = Tensor(rng.normal(size=5), requires_grad=not frozen)
+        out = ad.conv1d(x, w, bias)
+        padded = [arr for arr in closure_arrays(out._backward) if arr.shape == (4, 3, 13)]
+        assert bool(padded) is not frozen
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        expected = einsum_conv1d_input_gradient(x.data, w.data, g, "same")
+        assert np.array_equal(x.grad, expected)
+
+
 class TestTrainStep:
     """Training steps through nn.fit, the one optimizer loop."""
 
@@ -588,6 +648,20 @@ class TestTrainStep:
             self._fit(net, x, y, epochs=20, lr=1e-2, batch_size=16)
             runs.append((net.state_hash(), net.training_log))
         assert runs[0] == runs[1]
+
+    def test_step_graph_is_freed_before_the_next_step(self):
+        net, x, y = self._problem()
+        outputs = []
+
+        def batch_loss(idx):
+            assert all(ref() is None for ref in outputs)
+            out = net.forward(Tensor(x[idx]), training=True)
+            outputs.append(weakref.ref(out.data))
+            return cross_entropy(y[idx], ad.softmax(out, axis=1))
+
+        config = SimpleNamespace(epochs=2, batch_size=16, lr=1e-2, seed=3)
+        fit(net, len(x), batch_loss, config)
+        assert len(outputs) == 10
 
     def test_divergence_aborts(self):
         net, x, y = self._problem()

@@ -839,6 +839,13 @@ class TestEntryPoint:
         assert read_manifest(out, "teacher")["config"]["seed_teacher"] == 1
         assert not imports_numpy(imported) and "ctypes" not in imported
 
+    def test_evaluate_stage_leaves_multiprocessing_out(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out,
+                                                      "--criterion", "unlabeled")
+        assert code == 0 and "up to date" not in stdout
+        assert "tsadv.dtw" in imported and "multiprocessing" not in imported
+
     def test_one_variant_report_leaves_numpy_out(self, tmp_path):
         out = write_reports(tmp_path / "run", "Power")
         report_dir = tmp_path / "summary"

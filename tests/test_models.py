@@ -25,6 +25,16 @@ from tsadv.util import softmax_np
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def peak_rss_mb(script):
+    """Peak RSS of ``script`` run in a fresh single-BLAS-thread interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
 def param_count(net) -> int:
     return sum(p.data.size for p in net.parameters())
 
@@ -179,6 +189,22 @@ class TestTrainClassifier:
                 assert probs.shape == (2, classes)
                 assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-5
 
+    def test_fcn_training_epoch_peak_memory_is_bounded(self):
+        """One FCN training epoch, 256 series of length 128 in batches of 128,
+        in a fresh interpreter, peaks well below the 746 MB it needed while
+        each step's graph outlived its backward."""
+        script = (
+            "from tsadv.models import ArchitectureConfig, TrainConfig, build_fcn,"
+            " train_classifier\n"
+            "from tsadv.synthetic import make_bump_dataset\n"
+            "net = build_fcn(ArchitectureConfig(input_length=128, num_classes=2,"
+            " architecture='fcn'))\n"
+            "ds = make_bump_dataset(n_per_class=128, length=128, seed=0)\n"
+            "train_classifier(net, ds, TrainConfig(epochs=1, batch_size=128))\n"
+            "assert len(net.training_log) == 1\n")
+        peak_mb = peak_rss_mb(script)
+        assert peak_mb < 500, f"peak RSS {peak_mb:.0f} MB"
+
 
 class TestChunkedPasses:
     """Whole-split passes run in row chunks sized by the shapes alone, and an
@@ -267,13 +293,7 @@ class TestChunkedPasses:
             "x = np.random.default_rng(0).normal(size=(515, 1, 128)).astype(np.float32)\n"
             "grad, probs, _ = input_gradient_with_probs(net, x, 1)\n"
             "assert grad.shape == x.shape and probs.shape == (515, 2)\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+        peak_mb = peak_rss_mb(script)
         assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
 
     def test_warm_fcn_passes_do_not_refault_their_buffers(self):
