@@ -165,10 +165,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, overwrite: bool = False) -> Tensor:
     """Elementwise max(a, 0). As in clamp_min, NaN propagates, with a zero
-    gradient; -0.0 maps to +0.0. The mask ``data > 0`` equals ``a > 0``."""
-    data = np.maximum(a.data, 0)
+    gradient; -0.0 maps to +0.0. The mask ``data > 0`` equals ``a > 0``.
+    ``overwrite`` writes the output over ``a.data``."""
+    data = np.maximum(a.data, 0, out=a.data if overwrite else None)
 
     def backward(g):
         _accumulate(a, g * (data > 0))
@@ -312,14 +313,56 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     return _node(data, (x, w, b), backward)
 
 
+def batch_normalize(x: Tensor, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """x: [B, C, L] normalised by its own per-channel statistics,
+    ``(x - mu) * (var + eps) ** -0.5``, with the batch mean ``mu`` and
+    variance ``var`` ([1, C, 1] arrays) that it used.
+
+    One node with the numpy operations of the ad composite (tmean, sub, mul,
+    pow_const), in its order, forward and backward, so the output and x's
+    gradient are bitwise the composite's. Backward recomputes ``x - mu`` from
+    x instead of keeping it, and hands x the composite's two terms in its
+    order: the centred path's array, then a C-contiguous copy of the mean's.
+    """
+    shape = x.data.shape
+    inv_count = np.asarray(1.0 / (shape[0] * shape[2]), dtype=x.dtype)
+    neg_one = np.asarray(-1.0, dtype=x.dtype)
+    mu = x.data.sum(axis=(0, 2), keepdims=True) * inv_count
+    neg_mu = mu * neg_one
+    x_hat = x.data + neg_mu
+    var = (x_hat * x_hat).sum(axis=(0, 2), keepdims=True) * inv_count
+    var_eps = var + np.asarray(eps, dtype=x.dtype)
+    inv_std = var_eps**-0.5
+    x_hat *= inv_std
+
+    def backward(g):
+        # each sum of full-size terms is its own statement, as in _accumulate:
+        # numpy would write a temporary left operand in place, in its layout
+        d_centered = g * inv_std
+        centered = x.data + neg_mu
+        d_var = _unbroadcast(g * centered, inv_std.shape) * -0.5 * var_eps**-1.5
+        d_sq = np.broadcast_to(d_var * inv_count, shape).copy()
+        d_sq_term = d_sq * centered
+        del d_sq, centered
+        d_centered = d_centered + d_sq_term  # centered * centered: once per operand
+        d_centered = d_centered + d_sq_term
+        del d_sq_term
+        d_mu = _unbroadcast(d_centered, neg_mu.shape) * neg_one * inv_count
+        _accumulate(x, d_centered)
+        _accumulate(x, np.broadcast_to(d_mu, shape).copy())
+
+    return _node(x_hat, (x,), backward), mu, var
+
+
 def batchnorm_inference(x: Tensor, mean: np.ndarray, var: np.ndarray, eps: float,
-                        gamma: Tensor, beta: Tensor) -> Tensor:
+                        gamma: Tensor, beta: Tensor, overwrite: bool = False) -> Tensor:
     """Per-channel ``(x + -mean) * (var + eps) ** -0.5 * gamma + beta`` over x: [B, C, L].
 
     One node with the operations of the ad composite, in its order, so the
     output and every gradient are bitwise the composite's; x_hat is kept only
     when gamma needs a gradient. The in-place steps run in the widest dtype
-    of the operands, so none of them narrows a result.
+    of the operands, so none of them narrows a result. ``overwrite`` writes
+    x_hat over ``x.data`` when the dtypes allow it.
     """
     shape = (1, -1, 1)
     neg_mean = (-mean).reshape(shape)
@@ -328,7 +371,8 @@ def batchnorm_inference(x: Tensor, mean: np.ndarray, var: np.ndarray, eps: float
     beta_r = beta.data.reshape(shape)
     need_gamma, need_beta = _needs_grad(gamma), _needs_grad(beta)
     dtype = np.result_type(x.data, mean, var, gamma.data, beta.data)
-    x_hat = np.add(x.data, neg_mean, dtype=dtype)
+    x_hat = np.add(x.data, neg_mean, dtype=dtype,
+                   out=x.data if overwrite and dtype == x.data.dtype else None)
     x_hat *= inv_std
     if need_gamma:
         data = x_hat * gamma_r

@@ -232,9 +232,10 @@ def _load_split(out: str, which: str, needed_by: str):
 def cmd_train_teacher(args) -> int:
     out = args.out
     prep = _load_manifest(out, "prepare", "train-teacher")
-    cfg = {"teacher": args.teacher, "seed_teacher": args.seed_teacher, "epochs": args.epochs,
-           "batch_size": args.batch_size, "lr": args.lr, "early_stop_acc": args.early_stop_acc,
-           "prepare": prep["config_hash"]}
+    cfg = {"teacher": args.teacher, "prepare": prep["config_hash"]}
+    if args.teacher == "fcn":  # the 1-NN DTW teacher reads none of the training flags
+        cfg.update(seed_teacher=args.seed_teacher, epochs=args.epochs, batch_size=args.batch_size,
+                   lr=args.lr, early_stop_acc=args.early_stop_acc)
 
     def write(stage: str) -> dict:
         if args.teacher != "fcn":

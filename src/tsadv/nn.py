@@ -108,23 +108,21 @@ class BatchNorm1d(Layer):
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
 
-    def forward(self, x, training):
+    def forward(self, x, training, overwrite=False):
+        """``overwrite`` lets inference mode write its output over ``x.data``."""
         if x.data.ndim != 3:
             raise ValueError(f"batchnorm expects [B, C, L] input, got {x.data.shape}")
         if not training:
             return ad.batchnorm_inference(x, self.running_mean, self.running_var, self.eps,
-                                          self.gamma, self.beta)
-        # the composite's backward summation order fixes the trained state hash
-        mu = ad.tmean(x, axis=(0, 2), keepdims=True)
-        centered = x - mu
-        var = ad.tmean(centered * centered, axis=(0, 2), keepdims=True)
+                                          self.gamma, self.beta, overwrite=overwrite)
+        # batch_normalize keeps the composite's backward summation order, which
+        # fixes the trained state hash
+        x_hat, mu, var = ad.batch_normalize(x, self.eps)
         m = self.momentum
         self.running_mean = (m * self.running_mean
-                             + (1 - m) * mu.data.reshape(-1)).astype(self.running_mean.dtype)
+                             + (1 - m) * mu.reshape(-1)).astype(self.running_mean.dtype)
         self.running_var = (m * self.running_var
-                            + (1 - m) * var.data.reshape(-1)).astype(self.running_var.dtype)
-        inv_std = ad.pow_const(var + self.eps, -0.5)
-        x_hat = centered * inv_std
+                            + (1 - m) * var.reshape(-1)).astype(self.running_var.dtype)
         gamma = ad.reshape(self.gamma, (1, self.num_features, 1))
         beta = ad.reshape(self.beta, (1, self.num_features, 1))
         return gamma * x_hat + beta
@@ -150,8 +148,9 @@ class BatchNorm1d(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, training):
-        return ad.relu(x)
+    def forward(self, x, training, overwrite=False):
+        """``overwrite`` writes the output over ``x.data``."""
+        return ad.relu(x, overwrite=overwrite)
 
 
 class MaxPool1d(Layer):
@@ -232,10 +231,17 @@ class Network:
         self.training_log: list[dict] = []
 
     def forward(self, x, training: bool = False) -> Tensor:
+        """The network's output for x. An inference BatchNorm1d or a ReLU
+        writes its output over the previous layer's when that layer's backward
+        never reads its own output; x itself is never written."""
         h = x
         for i, layer in enumerate(self.layers):
             try:
-                h = layer.forward(h, training)
+                if i > 0 and isinstance(layer, (BatchNorm1d, ReLU)) \
+                        and isinstance(self.layers[i - 1], (Conv1d, BatchNorm1d, Dense)):
+                    h = layer.forward(h, training, overwrite=True)
+                else:
+                    h = layer.forward(h, training)
             except ValueError as exc:
                 raise ValueError(f"layer {i} ({layer.kind}): {exc}") from None
         return h

@@ -270,6 +270,23 @@ def composite_batchnorm_inference(layer, x):
     return gamma * x_hat + beta
 
 
+def composite_batchnorm_training(layer, x):
+    """Training-mode BatchNorm1d as the ad composite it was built from, with
+    its running-statistics update."""
+    mu = ad.tmean(x, axis=(0, 2), keepdims=True)
+    centered = x - mu
+    var = ad.tmean(centered * centered, axis=(0, 2), keepdims=True)
+    m = layer.momentum
+    layer.running_mean = (m * layer.running_mean
+                          + (1 - m) * mu.data.reshape(-1)).astype(layer.running_mean.dtype)
+    layer.running_var = (m * layer.running_var
+                         + (1 - m) * var.data.reshape(-1)).astype(layer.running_var.dtype)
+    x_hat = centered * ad.pow_const(var + layer.eps, -0.5)
+    gamma = ad.reshape(layer.gamma, (1, -1, 1))
+    beta = ad.reshape(layer.beta, (1, -1, 1))
+    return gamma * x_hat + beta
+
+
 def einsum_conv1d_input_gradient(x, w, g, padding):
     """conv1d's input gradient as an einsum and a scatter over [B, Cin, Lp]."""
     _, _, length = x.shape
@@ -330,6 +347,44 @@ class TestFusedKernelParity:
                 assert new is None
             else:
                 assert new.dtype == old.dtype and np.array_equal(new, old)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("b, c, length",
+                             [(5, 3, 7), (1, 4, 1), (1, 2, 9), (6, 1, 1), (16, 256, 17)])
+    @pytest.mark.parametrize("from_conv", [False, True])
+    def test_batchnorm_training(self, dtype, b, c, length, from_conv):
+        """The batch-statistics node and the composite give the same bits and
+        the same running statistics, and hand x a gradient of the same memory
+        layout, which conv1d's bias gradient sums in. As in the FCN, x may be
+        a conv1d output, and the gradient reaches the layer through a conv1d,
+        so both have conv1d's [C, B, L] memory order. The widest shape is
+        above the 256 KiB at which numpy reuses a temporary operand as the
+        output of an addition, in the operand's layout."""
+        rng = np.random.default_rng(34)
+        first, head = (Conv1d(cin, cout, 3, rng=rng, dtype=dtype) for cin, cout in ((2, c), (c, 2)))
+        if from_conv:
+            x_data = first.forward(Tensor(rng.normal(size=(b, 2, length)).astype(dtype)),
+                                   training=True).data
+        else:
+            x_data = rng.normal(1.0, 2.0, size=(b, c, length)).astype(dtype)
+        layer = BatchNorm1d(c, dtype=dtype)
+        layer.gamma.data = rng.uniform(0.5, 1.5, c).astype(dtype)
+        layer.beta.data = rng.normal(size=c).astype(dtype)
+        stats = (rng.normal(size=c).astype(dtype), rng.uniform(0.1, 3.0, c).astype(dtype))
+        proj = Tensor(rng.normal(size=(b, 2, length)).astype(dtype))
+        results = []
+        for build in (lambda x: layer.forward(x, training=True),
+                      lambda x: composite_batchnorm_training(layer, x)):
+            layer.gamma.grad = layer.beta.grad = None
+            layer.running_mean, layer.running_var = (s.copy() for s in stats)
+            x = Tensor(x_data.copy(order="K"), requires_grad=True)
+            out = build(x)
+            ad.tsum(head.forward(out, training=True) * proj).backward()
+            results.append((out.data, layer.running_mean, layer.running_var, x.grad,
+                            layer.gamma.grad, layer.beta.grad))
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+        assert results[0][3].strides == results[1][3].strides
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("padding", ["same", "valid"])

@@ -353,11 +353,25 @@ class TestAttackOutputsUpToDate:
     def test_student_from_another_teacher_stage_is_refused(self, black_dtw_run, tmp_path,
                                                            capsys):
         out = copy_run(black_dtw_run, tmp_path)
-        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn",
-                   "--seed-teacher", "1") == 0
+        teacher_hash = read_manifest(out, "teacher")["config_hash"]
+        # the 1-NN teacher stage hashes only its kind and the prepare stage
+        assert run("prepare", "--out", out, "--synthetic", "--seed-split", "3") == 0
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        assert read_manifest(out, "teacher")["config_hash"] != teacher_hash
         capsys.readouterr()
         assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
         assert "tsadv distill" in capsys.readouterr().err
+
+    def test_dtw_teacher_ignores_the_training_flags(self, black_dtw_run, tmp_path, capsys):
+        """The 1-NN teacher reads no training flag, so none of them makes its
+        stage, or the student distilled from it, stale."""
+        out = copy_run(black_dtw_run, tmp_path)
+        capsys.readouterr()
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn",
+                   "--seed-teacher", "9", "--epochs", "3") == 0
+        assert "[teacher] up to date" in capsys.readouterr().out
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
+        assert "[student] up to date" in capsys.readouterr().out
 
 
 class TestStaleAttackStage:
@@ -832,11 +846,11 @@ class TestEntryPoint:
 
     def test_dtw_teacher_stage_leaves_numpy_out(self, black_dtw_run, tmp_path):
         out = copy_run(black_dtw_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "teacher"))
         code, stdout, _, imported = fresh_interpreter(
-            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn",
-            "--seed-teacher", "1")
+            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
         assert code == 0 and "up to date" not in stdout
-        assert read_manifest(out, "teacher")["config"]["seed_teacher"] == 1
+        assert read_manifest(out, "teacher")["teacher_kind"] == "dtw1nn"
         assert not imports_numpy(imported) and "ctypes" not in imported
 
     def test_evaluate_stage_leaves_multiprocessing_out(self, black_dtw_run, tmp_path):
