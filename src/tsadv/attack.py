@@ -65,7 +65,8 @@ def rerank(y: np.ndarray, target_class: int, alpha: float) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def gatn_loss(x, x_hat, y_clean: np.ndarray, y_adv, config: AttackConfig):
+def gatn_loss(x: np.ndarray, x_hat: Tensor, y_clean: np.ndarray, y_adv: Tensor,
+              config: AttackConfig):
     """beta * MSE(x_hat, x) + MSE(y_adv, rerank(y_clean)).
 
     ``x`` and ``y_clean`` are constants; gradients flow through ``x_hat`` and
@@ -115,41 +116,30 @@ def clean_labels(teacher, surrogate: Network, x: np.ndarray,
 
 
 def generate(run: AttackRun, x: np.ndarray,
-             signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Craft adversarial series for a sample or batch; no parameters change.
+             signal: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Craft adversarial series for the rows of ``x`` [N, T]; no parameters change.
 
     The generator maps each series joined with the surrogate's input gradient,
     one [x, x_tilde] row, to the adversarial series x_hat. ``signal`` is
-    ``surrogate_signal`` of ``x``, computed here when not given.
+    ``surrogate_signal`` of ``x``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    dtype = run.gatn.parameters()[0].dtype
-    if signal is None:
-        signal = surrogate_signal(run.surrogate, x2, run.config.target_class, dtype)
-    joined = np.concatenate([x2.astype(dtype), signal[0]], axis=1)
-    x_hat = run.gatn.forward(Tensor(joined), training=False).data
-    return x_hat[0] if single else x_hat
+    joined = np.concatenate([x.astype(run.gatn.parameters()[0].dtype), signal[0]], axis=1)
+    return run.gatn.forward(Tensor(joined), training=False).data
 
 
-def train_gatn(run: AttackRun, d_eval: Dataset | np.ndarray,
-               signal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> AttackRun:
-    """Minimize the mean generator loss over the evaluation split.
+def train_gatn(run: AttackRun, x: np.ndarray,
+               signal: tuple[np.ndarray, np.ndarray, np.ndarray]) -> AttackRun:
+    """Minimize the mean generator loss over the evaluation split's series ``x`` [N, T].
 
     The surrogate is frozen: its input gradients and clean predictions
-    (``signal``, ``surrogate_signal`` of the split, computed here when not
-    given) are taken once and indexed per batch, its parameters are asserted
-    bitwise unchanged afterwards, and only ground-truth-free quantities
-    (series values, surrogate predictions) are consumed.
+    (``signal``, ``surrogate_signal`` of ``x``) are taken once and indexed per
+    batch, its parameters are asserted bitwise unchanged afterwards, and only
+    ground-truth-free quantities (series values, surrogate predictions) are
+    consumed.
     """
-    x = d_eval.values if isinstance(d_eval, Dataset) else np.asarray(d_eval)
     config = run.config
-    dtype = run.gatn.parameters()[0].dtype
-    x_all = x.astype(dtype)
+    x_all = x.astype(run.gatn.parameters()[0].dtype)
     surrogate_before = run.surrogate.state_hash()
-    if signal is None:
-        signal = surrogate_signal(run.surrogate, x_all, config.target_class, dtype)
     x_tilde_all, y_clean_all, _ = signal
     joined = np.concatenate([x_all, x_tilde_all], axis=1)
 

@@ -36,7 +36,7 @@ from .reports import load_reports_json, replacing, save_reports_csv, save_report
 UCR_ROOT_ENV = "TSADV_UCR_ROOT"
 # what the attack stage showed the teacher on d_eval, kept for evaluate
 D_EVAL_OUTPUTS = "d_eval_outputs.npz"
-DELIMITERS = {"tab": "\t", "comma": ",", "space": " "}
+DELIMITERS = {"tab": "\t", "comma": ",", "space": None}  # None: runs of whitespace
 
 # sensor / ECG / EOG / hemodynamics datasets of the 2018 archive, the slice
 # where an adversarial attack is a plausible security concern
@@ -275,6 +275,9 @@ def _load_teacher(out: str, needed_by: str):
 def cmd_distill(args) -> int:
     out = args.out
     teacher_manifest = _load_manifest(out, "teacher", "distill")
+    if attacks_teacher(args.box, teacher_manifest["teacher_kind"]):
+        raise ValueError(f"a {args.box}-box attack on the {teacher_manifest['teacher_kind']} "
+                         f"teacher differentiates through the teacher itself and reads no student")
     kwargs = dict(tau=args.tau, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                   seed=args.seed_student)
     config = (DistillConfig.for_box_mode(args.box, **kwargs) if args.gamma is None

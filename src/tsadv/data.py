@@ -105,10 +105,11 @@ class SplitPair:
     seed: int
 
 
-def load_ucr(path: str | os.PathLike, delimiter: str = "\t") -> Dataset:
+def load_ucr(path: str | os.PathLike, delimiter: str | None = "\t") -> Dataset:
     """Load a delimiter-separated archive file into a raw (unremapped) Dataset.
 
-    Each row is ``label, v1, v2, ...``. NaN tokens are kept as missing-value
+    Each row is ``label, v1, v2, ...``. A ``None`` delimiter splits on runs of
+    whitespace, as :meth:`str.split` does. NaN tokens are kept as missing-value
     markers for :func:`preprocess`. Fully blank lines are skipped.
     """
     path = os.fspath(path)
@@ -206,10 +207,8 @@ def preprocess(series: TimeSeries, target_len: int, znorm: bool = False) -> Time
     return TimeSeries(values=v, label=series.label, source_id=series.source_id)
 
 
-def preprocess_dataset(dataset: Dataset, target_len: int | None = None, znorm: bool = False) -> Dataset:
-    """Apply :func:`preprocess` to every series; default length is the maximum."""
-    if target_len is None:
-        target_len = max(len(s) for s in dataset.series)
+def preprocess_dataset(dataset: Dataset, target_len: int, znorm: bool = False) -> Dataset:
+    """Apply :func:`preprocess` to every series."""
     series = tuple(preprocess(s, target_len, znorm) for s in dataset.series)
     return Dataset(name=dataset.name, series=series, label_map=dataset.label_map)
 

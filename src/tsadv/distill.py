@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import DistillConfig
-from .data import Dataset
 from .models import as_conv_input
 from .nn import Network, cross_entropy, fit, predict
 from .teachers import Teacher
@@ -53,9 +52,8 @@ class TeacherOutputs:
             raise ValueError("hard mode must not carry probabilities")
 
 
-def teacher_outputs(teacher: Teacher, data: Dataset | np.ndarray, mode: str) -> TeacherOutputs:
-    """Query the teacher once over a dataset, in hard or soft mode."""
-    x = data.values if isinstance(data, Dataset) else np.asarray(data)
+def teacher_outputs(teacher: Teacher, x: np.ndarray, mode: str) -> TeacherOutputs:
+    """Query the teacher once over the series ``x`` [N, T], in hard or soft mode."""
     if mode == "hard":
         labels = teacher.predict_labels(x)
         return TeacherOutputs(mode="hard", hard_labels=labels,
@@ -83,38 +81,30 @@ def distill_target(outputs: TeacherOutputs, tau: float) -> np.ndarray:
     return outputs.soft_probs.astype(np.float64)
 
 
-def distill_loss(z_s, teacher_target: np.ndarray, y_hard: np.ndarray, config: DistillConfig):
+def distill_loss(z_s: Tensor, teacher_target: np.ndarray, y_hard: np.ndarray,
+                 config: DistillConfig):
     """gamma * H(target, softmax(z_s/tau)) + (1-gamma) * H(y, softmax(z_s)).
 
-    ``teacher_target`` comes from :func:`distill_target`; ``y_hard`` is the
-    one-hot encoding of the teacher's predicted labels, which stand in for
-    ground truth. Each disabled term is skipped entirely, not multiplied by
-    zero, so a gamma=1 run never touches the hard-label path.
+    ``z_s`` is the student's logits [B, C]. ``teacher_target`` [B, C] comes
+    from :func:`distill_target`; ``y_hard`` [B, C] is the one-hot encoding of
+    the teacher's predicted labels, which stand in for ground truth. Each
+    disabled term is skipped entirely, not multiplied by zero, so a gamma=1
+    run never touches the hard-label path.
     """
-    zt = z_s if isinstance(z_s, Tensor) else Tensor(np.asarray(z_s, dtype=np.float64))
-    teacher_target = np.atleast_2d(teacher_target)
-    y_hard = np.atleast_2d(y_hard)
-    z2 = ad.reshape(zt, (-1, teacher_target.shape[1]))
     loss = None
     if config.gamma > 0.0:
-        soft_student = ad.softmax(z2, axis=1, temperature=config.tau)
+        soft_student = ad.softmax(z_s, axis=1, temperature=config.tau)
         loss = config.gamma * cross_entropy(teacher_target, soft_student)
     if config.gamma < 1.0:
-        hard_student = ad.softmax(z2, axis=1, temperature=1.0)
+        hard_student = ad.softmax(z_s, axis=1, temperature=1.0)
         term = (1.0 - config.gamma) * cross_entropy(y_hard, hard_student)
         loss = term if loss is None else loss + term
     return loss
 
 
-def student_fidelity(student: Network, x: np.ndarray, teacher_labels: np.ndarray) -> float:
-    """Fraction of samples where the student's argmax matches the teacher's label."""
-    _, probs = predict(student, as_conv_input(x, dtype=student.parameters()[0].dtype))
-    return float((np.argmax(probs, axis=1) == teacher_labels).mean())
-
-
-def train_student(student: Network, d_eval: Dataset | np.ndarray,
-                  outputs: TeacherOutputs, config: DistillConfig) -> Network:
-    """Distill the teacher's recorded outputs into the student on d_eval.
+def train_student(student: Network, x: np.ndarray, outputs: TeacherOutputs,
+                  config: DistillConfig) -> Network:
+    """Distill the teacher's recorded outputs into the student on d_eval's series ``x`` [N, T].
 
     Consumes series values and TeacherOutputs only; the split's own labels
     are never read. Keeps the parameters of the epoch with the highest
@@ -123,7 +113,6 @@ def train_student(student: Network, d_eval: Dataset | np.ndarray,
     """
     if student.architecture != "lenet5":
         raise ValueError(f"student must be the lenet5 architecture, got {student.architecture!r}")
-    x = d_eval.values if isinstance(d_eval, Dataset) else np.asarray(d_eval)
     dtype = student.parameters()[0].dtype
     x_all = as_conv_input(x, dtype=dtype)
     targets = distill_target(outputs, config.tau).astype(dtype)
@@ -136,7 +125,8 @@ def train_student(student: Network, d_eval: Dataset | np.ndarray,
 
     def end_epoch(entry):
         nonlocal best_fidelity, best_state
-        fidelity = student_fidelity(student, x, outputs.hard_labels)
+        _, probs = predict(student, x_all)
+        fidelity = float((np.argmax(probs, axis=1) == outputs.hard_labels).mean())
         if fidelity > best_fidelity:
             best_fidelity = fidelity
             best_state = [p.data.copy() for p in student.parameters()]

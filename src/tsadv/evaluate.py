@@ -113,9 +113,8 @@ class WilcoxonResult:
         return iter((self.statistic, self.p_value))
 
 
-def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray,
-                         alternative: str = "two-sided") -> WilcoxonResult:
-    """Paired Wilcoxon signed-rank test, two-sided by default.
+def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
+    """Two-sided paired Wilcoxon signed-rank test.
 
     NaN differences are refused, never ranked; zero differences are dropped
     and tied ranks averaged. With n <= 25
@@ -123,11 +122,8 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray,
     of the rank sum (a subset-sum count over doubled ranks, so averaged tie
     ranks stay exact); larger n uses the normal approximation with tie
     correction and a continuity correction. All differences zero returns the
-    degenerate (0, 1.0) result with a warning. ``alternative`` "greater"
-    ("less") tests whether a tends to exceed (fall below) b.
+    degenerate (0, 1.0) result with a warning.
     """
-    if alternative not in ("two-sided", "greater", "less"):
-        raise ValueError(f"unknown alternative {alternative!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -155,13 +151,8 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray,
     else:
         p_le, p_ge = _normal_tails(diff, ranks, w_plus)
         method = "normal"
-    if alternative == "greater":
-        p = p_ge
-    elif alternative == "less":
-        p = p_le
-    else:
-        p = 2.0 * min(p_le, p_ge)
-    return WilcoxonResult(statistic=statistic, p_value=min(1.0, p), n_effective=n, method=method)
+    return WilcoxonResult(statistic=statistic, p_value=min(1.0, 2.0 * min(p_le, p_ge)),
+                          n_effective=n, method=method)
 
 
 def _exact_tails(ranks: np.ndarray, w_plus: float) -> tuple[float, float]:

@@ -319,10 +319,9 @@ def input_gradient_with_probs(model: Network, x: np.ndarray, target_class: int
     return _in_chunks(model, np.asarray(x), rows_pass)
 
 
-def cross_entropy(p_target, q_pred) -> Tensor:
+def cross_entropy(p_target: np.ndarray, q: Tensor) -> Tensor:
     """-sum(p * log q) with q clamped at 1e-12; batched inputs average over rows."""
-    q = q_pred if isinstance(q_pred, Tensor) else Tensor(np.asarray(q_pred, dtype=np.float64))
-    p = np.asarray(p_target.data if isinstance(p_target, Tensor) else p_target, dtype=q.dtype)
+    p = np.asarray(p_target, dtype=q.dtype)
     if p.shape != q.data.shape:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.data.shape}")
     logq = ad.log(ad.clamp_min(q, 1e-12))
@@ -331,13 +330,12 @@ def cross_entropy(p_target, q_pred) -> Tensor:
     return total * (-1.0 / rows)
 
 
-def l2(a, b) -> Tensor:
-    """Mean squared element difference."""
-    at = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    bt = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=at.dtype))
-    if at.data.shape != bt.data.shape:
-        raise ValueError(f"shapes differ: {at.data.shape} vs {bt.data.shape}")
-    d = at - bt
+def l2(a: Tensor, b) -> Tensor:
+    """Mean squared element difference of ``a`` and ``b``, a Tensor or an array."""
+    bt = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
+    if a.data.shape != bt.data.shape:
+        raise ValueError(f"shapes differ: {a.data.shape} vs {bt.data.shape}")
+    d = a - bt
     return ad.tmean(d * d)
 
 

@@ -28,17 +28,18 @@ from tsadv.attack import (
 )
 from tsadv.autodiff import Tensor
 from tsadv.data import Dataset, TimeSeries, load_ucr, remap_labels, stratified_split
-from tsadv.distill import DistillConfig, teacher_outputs, train_student, student_fidelity
+from tsadv.distill import DistillConfig, teacher_outputs, train_student
 from tsadv.dtw import dtw_distance, nn1_classify, soft_1nn
 from tsadv.evaluate import generalization_eval, wilcoxon_signed_rank
 from tsadv.models import (
     ArchitectureConfig,
     TrainConfig,
+    as_conv_input,
     build_fcn,
     build_lenet5_1d,
     train_classifier,
 )
-from tsadv.nn import BatchNorm1d, cross_entropy, l2
+from tsadv.nn import BatchNorm1d, cross_entropy, l2, predict
 from tsadv.synthetic import make_bump_dataset, write_power_profile_archive
 from tsadv.teachers import FCNTeacher
 from tsadv.util import rankdata_average
@@ -313,7 +314,9 @@ def test_criterion_05_distillation_fidelity(synthetic_pipeline):
                                                          architecture="lenet5", seed=5))
             train_student(student, p.d_eval.values, outputs,
                           DistillConfig(gamma=gamma, epochs=60, seed=5))
-            fidelity = student_fidelity(student, p.d_eval.values, outputs.hard_labels)
+            x_all = as_conv_input(p.d_eval.values, student.parameters()[0].dtype)
+            _, probs = predict(student, x_all)
+            fidelity = float((np.argmax(probs, axis=1) == outputs.hard_labels).mean())
             assert fidelity >= 0.9, f"gamma={gamma} fidelity {fidelity}"
         assert time.time() - start + p.teacher_seconds < 300.0
 
@@ -379,10 +382,12 @@ def test_criterion_08_black_box_hygiene(synthetic_pipeline):
         for split in (p.d_eval, flipped):
             student = build_lenet5_1d(ArchitectureConfig(input_length=32, num_classes=2,
                                                          architecture="lenet5", seed=8))
-            train_student(student, split, outputs, DistillConfig(gamma=1.0, epochs=10, seed=8))
+            train_student(student, split.values, outputs,
+                          DistillConfig(gamma=1.0, epochs=10, seed=8))
             run = make_attack_run(AttackConfig(box_mode="black", teacher_kind="fcn",
                                                epochs=5, seed=8), 32, student)
-            train_gatn(run, split)
+            train_gatn(run, split.values, surrogate_signal(
+                student, split.values, run.config.target_class, run.gatn.parameters()[0].dtype))
             artifacts.append((student.state_hash(), run.gatn.state_hash()))
         assert artifacts[0] == artifacts[1], "ground-truth labels leaked into training"
         assert teacher.calls["predict_proba"] == 0, "teacher probabilities were read"

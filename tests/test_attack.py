@@ -15,6 +15,7 @@ from tsadv.attack import (
     surrogate_signal,
     train_gatn,
 )
+from tsadv.autodiff import Tensor
 from tsadv.distill import DistillConfig, teacher_outputs, train_student
 from tsadv.models import (ArchitectureConfig, TrainConfig, build_fcn, build_gatn, build_lenet5_1d,
                           train_classifier)
@@ -28,6 +29,12 @@ def attack_config(**kwargs):
                     target_class=1, seed=0, epochs=5, batch_size=64)
     defaults.update(kwargs)
     return AttackConfig(**defaults)
+
+
+def signal_of(run, x):
+    """``surrogate_signal`` of ``x`` for ``run``, in the generator's dtype."""
+    return surrogate_signal(run.surrogate, x, run.config.target_class,
+                            run.gatn.parameters()[0].dtype)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +90,7 @@ class TestGATNLoss:
         x = np.array([[0.3, -0.2]])
         y_clean = np.array([[0.7, 0.3]])
         target = rerank(y_clean, config.target_class, config.alpha)
-        loss = gatn_loss(x, x, y_clean, target, config)
+        loss = gatn_loss(x, Tensor(x), y_clean, Tensor(target), config)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed_value(self):
@@ -92,7 +99,7 @@ class TestGATNLoss:
         x_hat = np.array([[1.0, 1.0]])
         y_clean = np.array([[0.7, 0.3]])
         y_adv = np.array([[0.5, 0.5]])
-        loss = float(gatn_loss(x, x_hat, y_clean, y_adv, config).data)
+        loss = float(gatn_loss(x, Tensor(x_hat), y_clean, Tensor(y_adv), config).data)
         assert loss == pytest.approx(0.11, abs=1e-12)
 
     def test_nonnegative_random(self):
@@ -103,7 +110,7 @@ class TestGATNLoss:
             y = rng.dirichlet(np.ones(3), size=2)
             y_adv = rng.dirichlet(np.ones(3), size=2)
             cfg3 = attack_config(beta=1e-3, target_class=2)
-            assert float(gatn_loss(x, x_hat, y, y_adv, cfg3).data) >= 0.0
+            assert float(gatn_loss(x, Tensor(x_hat), y, Tensor(y_adv), cfg3).data) >= 0.0
 
     def test_zero_beta_kills_reconstruction_term(self):
         # AttackConfig forbids beta=0, but the loss itself must satisfy the
@@ -115,7 +122,7 @@ class TestGATNLoss:
         x_hat = np.array([[5.0, -5.0]])
         y_clean = np.array([[0.7, 0.3]])
         y_adv = rerank(y_clean, 1, 1.5)
-        assert float(gatn_loss(x, x_hat, y_clean, y_adv, weights).data) == 0.0
+        assert float(gatn_loss(x, Tensor(x_hat), y_clean, Tensor(y_adv), weights).data) == 0.0
 
     def test_config_rejects_zero_beta(self):
         with pytest.raises(ValueError, match="beta"):
@@ -215,38 +222,31 @@ class TestGenerate:
     def test_deterministic_and_shape(self, trained_teacher, eval_split):
         run = make_attack_run(attack_config(), 32, trained_teacher)
         x = eval_split.values[:5]
-        a1 = generate(run, x)
-        a2 = generate(run, x)
+        a1 = generate(run, x, signal_of(run, x))
+        a2 = generate(run, x, signal_of(run, x))
         assert a1.shape == (5, 32)
         assert np.array_equal(a1, a2)
-
-    def test_single_series(self, trained_teacher, eval_split):
-        run = make_attack_run(attack_config(), 32, trained_teacher)
-        x_hat = generate(run, eval_split.values[0])
-        assert x_hat.shape == (32,)
-        # float32 BLAS rounds a 1-row product differently from a 5-row one
-        np.testing.assert_allclose(x_hat, generate(run, eval_split.values[:5])[0],
-                                   rtol=1e-5, atol=1e-6)
-        x_tilde, y_clean, _ = surrogate_signal(run.surrogate, eval_split.values[:5], 1)
+        x_tilde, y_clean, _ = surrogate_signal(run.surrogate, x, 1)
         assert x_tilde.shape == (5, 32) and y_clean.shape == (5, 2)
         assert np.abs(y_clean.sum(axis=1) - 1).max() < 1e-6
 
     def test_length_mismatch_rejected(self, trained_teacher):
         run = make_attack_run(attack_config(), 32, trained_teacher)
+        x = np.zeros((2, 16))
         with pytest.raises(ValueError):
-            generate(run, np.zeros(16))
+            generate(run, x, signal_of(run, x))
 
 
 class TestTrainGATN:
     def test_surrogate_frozen_bitwise(self, trained_teacher, eval_split):
         run = make_attack_run(attack_config(epochs=3), 32, trained_teacher)
         before = run.surrogate.state_hash()
-        train_gatn(run, eval_split)
+        train_gatn(run, eval_split.values, signal_of(run, eval_split.values))
         assert run.surrogate.state_hash() == before
 
     def test_loss_decreases_on_toy_set(self, trained_teacher, eval_split):
         run = make_attack_run(attack_config(epochs=30, beta=1e-3), 32, trained_teacher)
-        train_gatn(run, eval_split)
+        train_gatn(run, eval_split.values, signal_of(run, eval_split.values))
         log = run.gatn.training_log
         assert log[-1]["loss"] <= log[0]["loss"]
 
@@ -254,7 +254,7 @@ class TestTrainGATN:
         hashes = []
         for _ in range(2):
             run = make_attack_run(attack_config(epochs=3), 32, trained_teacher)
-            train_gatn(run, eval_split)
+            train_gatn(run, eval_split.values, signal_of(run, eval_split.values))
             hashes.append(run.gatn.state_hash())
         assert hashes[0] == hashes[1]
 
@@ -266,8 +266,9 @@ class TestTrainGATN:
             for beta in (1e-1, 1e-5):
                 run = make_attack_run(attack_config(epochs=25, beta=beta, seed=seed),
                                       32, trained_teacher)
-                train_gatn(run, x)
-                x_hat = generate(run, x)
+                signal = signal_of(run, x)
+                train_gatn(run, x, signal)
+                x_hat = generate(run, x, signal)
                 mse[beta].append(float(((x_hat - x) ** 2).mean()))
         assert np.median(mse[1e-5]) >= np.median(mse[1e-1])
 
@@ -425,9 +426,10 @@ class TestBlackBoxHygiene:
         for split in (d_eval, flipped):
             student = build_lenet5_1d(ArchitectureConfig(input_length=32, num_classes=2,
                                                          architecture="lenet5", seed=12))
-            train_student(student, split, outputs, DistillConfig(gamma=1.0, epochs=6, seed=12))
+            train_student(student, split.values, outputs,
+                          DistillConfig(gamma=1.0, epochs=6, seed=12))
             run = make_attack_run(attack_config(box_mode="black", epochs=3), 32, student)
-            train_gatn(run, split)
+            train_gatn(run, split.values, signal_of(run, split.values))
             results.append((student.state_hash(), run.gatn.state_hash()))
         assert results[0] == results[1]
         assert teacher.calls["predict_proba"] == 0

@@ -439,18 +439,18 @@ class TestFusedKernelParity:
 
 class TestLosses:
     def test_cross_entropy_fixed_value(self):
-        loss = cross_entropy(np.array([1.0, 0.0]), np.array([0.9, 0.1]))
+        loss = cross_entropy(np.array([1.0, 0.0]), Tensor(np.array([0.9, 0.1])))
         assert float(loss.data) == pytest.approx(0.10536051565782628, abs=1e-12)
 
     def test_cross_entropy_self_is_entropy_and_minimal(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             p = rng.dirichlet(np.ones(4))
-            self_ce = float(cross_entropy(p, p).data)
+            self_ce = float(cross_entropy(p, Tensor(p)).data)
             entropy = -(p * np.log(p)).sum()
             assert self_ce == pytest.approx(entropy, rel=1e-9)
             q = rng.dirichlet(np.ones(4))
-            assert float(cross_entropy(p, q).data) >= self_ce - 1e-12
+            assert float(cross_entropy(p, Tensor(q)).data) >= self_ce - 1e-12
 
     def test_cross_entropy_gradient(self):
         # q bounded away from 0: near the log singularity the finite-difference
@@ -473,12 +473,12 @@ class TestLosses:
 
     def test_l2_zero_on_equal(self):
         x = np.arange(6.0).reshape(2, 3)
-        assert float(l2(x, x).data) == 0.0
+        assert float(l2(Tensor(x), x).data) == 0.0
 
     def test_l2_is_mean_squared(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[1.0, 3.0]])
-        assert float(l2(a, b).data) == pytest.approx(5.0)
+        assert float(l2(Tensor(a), b).data) == pytest.approx(5.0)
 
     def test_l2_gradient(self):
         rng = np.random.default_rng(23)
@@ -488,9 +488,9 @@ class TestLosses:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
-            l2(np.zeros((2, 2)), np.zeros((2, 3)))
+            l2(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="shapes"):
-            cross_entropy(np.zeros((1, 2)), np.zeros((1, 3)))
+            cross_entropy(np.zeros((1, 2)), Tensor(np.zeros((1, 3))))
 
 
 class TestScaledSoftmax:

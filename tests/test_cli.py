@@ -136,7 +136,7 @@ def recounted_reports(out, criterion, all_betas):
     attack stage: each saved generator is run on d_eval and d_test and every
     label is queried from the teacher.
     """
-    from tsadv.attack import AttackConfig, AttackRun, generate
+    from tsadv.attack import AttackConfig, AttackRun, generate, surrogate_signal
     from tsadv.data import Dataset, load_ucr, remap_labels
     from tsadv.evaluate import count_adversaries_labeled, count_adversaries_unlabeled
     from tsadv.nn import load_model
@@ -171,7 +171,9 @@ def recounted_reports(out, criterion, all_betas):
         kwargs = dict(dataset=name, box_mode=acfg["box"], teacher_kind=acfg["teacher"], beta=beta)
         for split_name, ds in (("d_eval", d_eval), ("d_test", d_test)):
             x = ds.values
-            x_hat = generate(attack_run, x)
+            x_hat = generate(attack_run, x, surrogate_signal(
+                attack_run.surrogate, x, config.target_class,
+                attack_run.gatn.parameters()[0].dtype))
             pred_clean, pred_adv = teacher.predict_labels(x), teacher.predict_labels(x_hat)
             if criterion == "labeled":
                 reports.append(count_adversaries_labeled(x, x_hat, ds.labels, pred_clean,
@@ -464,6 +466,18 @@ class TestErrors:
                    "--teacher", "dtw1nn") == 1
         assert "train-teacher" in capsys.readouterr().err
 
+    def test_white_box_distill_on_fcn_teacher_is_refused(self, white_fcn_run, tmp_path, capsys):
+        """A white-box fcn attack differentiates through the teacher, so no stage reads
+        that student."""
+        out = copy_run(white_fcn_run, tmp_path)
+        capsys.readouterr()
+        assert run("distill", "--out", out, "--box", "white", "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "teacher itself" in err
+        assert not os.path.exists(os.path.join(out, "student"))
+        assert not os.path.exists(os.path.join(out, ".student.partial"))
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
+
 
 class TestBlackBoxProvenance:
     def test_redistilled_student_retrains_generators(self, tmp_path, capsys):
@@ -670,6 +684,25 @@ class TestArchiveLayout:
         assert err.startswith("error:") and "[1, 2, 3]" in err and "[1, 3]" in err
         assert not (out / "prepare").exists()
         assert not (out / ".prepare.partial").exists()
+
+    def test_space_delimiter_takes_runs_of_whitespace(self, tmp_path):
+        """Space-aligned columns with leading and trailing spaces prepare the same splits
+        as the tab-separated file."""
+        stages = []
+        for delimiter in ("tab", "space"):
+            train, test = tmp_path / f"{delimiter}_TRAIN.tsv", tmp_path / f"{delimiter}_TEST.tsv"
+            write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=5)
+            if delimiter == "space":
+                for path in (train, test):
+                    rows = path.read_text().splitlines()
+                    path.write_text("".join("  " + row.replace("\t", "   ") + " \n"
+                                            for row in rows))
+            out = tmp_path / f"run_{delimiter}"
+            assert run("prepare", "--out", str(out), "--train-file", str(train),
+                       "--test-file", str(test), "--delimiter", delimiter) == 0
+            stages.append([(out / "prepare" / f"{which}.tsv").read_text()
+                           for which in ("teacher_train", "d_eval", "d_test")])
+        assert stages[0] == stages[1]
 
     def test_missing_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSADV_UCR_ROOT", raising=False)
@@ -934,8 +967,8 @@ class TestKeepFreedMemory:
         per_stage = []
         for argv in (("prepare", "--synthetic"),
                      ("train-teacher", "--teacher", "fcn", "--epochs", "1"),
-                     ("distill", "--box", "white", "--epochs", "1"),
-                     ("attack", "--box", "white", "--teacher", "fcn", "--epochs", "1"),
+                     ("distill", "--box", "black", "--epochs", "1"),
+                     ("attack", "--box", "black", "--teacher", "fcn", "--epochs", "1"),
                      ("evaluate",), ("evaluate",)):
             calls.clear()
             assert run(*argv, "--out", out) == 0

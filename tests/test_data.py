@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsadv.cli import DELIMITERS
 from tsadv.data import (
     Dataset,
     TimeSeries,
@@ -55,6 +56,13 @@ class TestLoadUCR:
     def test_comma_delimiter(self, tmp_path):
         ds = load_ucr(write(tmp_path, "2,1.0,2.0\n"), delimiter=",")
         assert ds.series[0].label == 2
+
+    @pytest.mark.parametrize("row", ["  1.0000000e+00  -1.5  2.25", "1  -1.5    2.25",
+                                     "1 -1.5 2.25 "], ids=["leading", "repeated", "trailing"])
+    def test_space_delimiter_takes_runs_of_whitespace(self, tmp_path, row):
+        ds = load_ucr(write(tmp_path, row + "\n"), delimiter=DELIMITERS["space"])
+        assert ds.series[0].label == 1
+        assert np.array_equal(ds.series[0].values, [-1.5, 2.25])
 
     def test_source_ids_are_row_indices(self, tmp_path):
         ds = load_ucr(write(tmp_path, "1\t0.0\t1.0\n2\t1.0\t2.0\n"))
@@ -228,6 +236,7 @@ class TestStratifiedSplit:
 
 def test_preprocess_dataset_defaults_to_max_length(tmp_path):
     path = write(tmp_path, "1\t1.0\t2.0\n2\t1.0\t2.0\t3.0\t4.0\n")
-    ds = preprocess_dataset(remap_labels(load_ucr(path)))
+    raw = remap_labels(load_ucr(path))
+    ds = preprocess_dataset(raw, max(len(s) for s in raw.series))
     assert ds.length == 4
     assert np.allclose(ds.series[0].values, [1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0])

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
+from tsadv.autodiff import Tensor
 from tsadv.distill import (
     DistillConfig,
     TeacherOutputs,
     distill_loss,
     distill_target,
-    student_fidelity,
     teacher_outputs,
     train_student,
 )
-from tsadv.models import ArchitectureConfig, TrainConfig, build_fcn, build_lenet5_1d, train_classifier
+from tsadv.models import (ArchitectureConfig, TrainConfig, as_conv_input, build_fcn, build_lenet5_1d,
+                          train_classifier)
+from tsadv.nn import predict
 from tsadv.synthetic import make_bump_dataset
 from tsadv.teachers import DTW1NNTeacher, FCNTeacher
 from tsadv.util import one_hot, softmax_np
+
+
+def student_fidelity(student, x, teacher_labels) -> float:
+    """Fraction of the rows of ``x`` whose student argmax is the teacher's label."""
+    _, probs = predict(student, as_conv_input(x, student.parameters()[0].dtype))
+    return float((np.argmax(probs, axis=1) == teacher_labels).mean())
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +120,8 @@ class TestDistillLoss:
         config = DistillConfig(gamma=1.0, tau=2.0)
         z = np.array([1.0, -1.0])
         target = np.array([0.6, 0.4])
-        loss = float(distill_loss(z, target, one_hot(np.array([0]), 2)[0], config).data)
+        loss = float(distill_loss(Tensor(z[None, :]), target[None, :], one_hot(np.array([0]), 2),
+                                  config).data)
         student = softmax_np(z[None, :], temperature=2.0)
         expected = -(target * np.log(student[0])).sum()
         assert loss == pytest.approx(expected, rel=1e-9)
@@ -121,14 +130,16 @@ class TestDistillLoss:
         config = DistillConfig(gamma=0.0, tau=10.0)
         z = np.array([np.log(9.0), 0.0])
         y = np.array([1.0, 0.0])
-        loss = float(distill_loss(z, np.array([0.5, 0.5]), y, config).data)
+        loss = float(distill_loss(Tensor(z[None, :]), np.array([[0.5, 0.5]]), y[None, :],
+                                  config).data)
         assert loss == pytest.approx(0.10536051565782628, abs=1e-12)
 
     def test_matching_logits_gamma_one_gives_target_entropy(self):
         config = DistillConfig(gamma=1.0, tau=10.0)
         z = np.array([2.0, -1.0, 0.5])
         target = softmax_np(z[None, :], temperature=10.0)[0]
-        loss = float(distill_loss(z, target, one_hot(np.array([0]), 3)[0], config).data)
+        loss = float(distill_loss(Tensor(z[None, :]), target[None, :], one_hot(np.array([0]), 3),
+                                  config).data)
         entropy = -(target * np.log(target)).sum()
         assert loss == pytest.approx(entropy, rel=1e-9)
 
@@ -137,9 +148,9 @@ class TestDistillLoss:
         z = rng.normal(size=(4, 3))
         target = softmax_np(rng.normal(size=(4, 3)))
         y = one_hot(rng.integers(0, 3, 4), 3)
-        mid = float(distill_loss(z, target, y, DistillConfig(gamma=0.5)).data)
-        lo = float(distill_loss(z, target, y, DistillConfig(gamma=0.0)).data)
-        hi = float(distill_loss(z, target, y, DistillConfig(gamma=1.0)).data)
+        mid = float(distill_loss(Tensor(z), target, y, DistillConfig(gamma=0.5)).data)
+        lo = float(distill_loss(Tensor(z), target, y, DistillConfig(gamma=0.0)).data)
+        hi = float(distill_loss(Tensor(z), target, y, DistillConfig(gamma=1.0)).data)
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-9)
 
     def test_distillation_term_shift_invariant(self):
@@ -154,8 +165,8 @@ class TestDistillLoss:
         t2 = distill_target(TeacherOutputs(mode="soft", hard_labels=np.argmax(z_teacher, 1),
                                            teacher_kind="fcn", num_classes=4,
                                            soft_probs=softmax_np(z_teacher + 5.0)), config.tau)
-        l1 = float(distill_loss(z_s, t1, y, config).data)
-        l2 = float(distill_loss(z_s, t2, y, config).data)
+        l1 = float(distill_loss(Tensor(z_s), t1, y, config).data)
+        l2 = float(distill_loss(Tensor(z_s), t2, y, config).data)
         assert l1 == pytest.approx(l2, rel=1e-9)
 
 
