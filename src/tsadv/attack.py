@@ -16,11 +16,39 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import BETA_GRID, AttackConfig, attacks_teacher
+from .config import BETA_GRID, attacks_teacher
 from .data import Dataset
 from .models import ArchitectureConfig, as_conv_input, build_gatn
 from .nn import Network, fit, input_gradient_with_probs, l2
 from .teachers import FCNTeacher
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    box_mode: str  # white | black
+    teacher_kind: str  # fcn | dtw1nn
+    alpha: float = 1.5
+    beta: float = 1e-2
+    target_class: int = 1
+    seed: int = 0
+    epochs: int = 100
+    batch_size: int = 128
+    lr: float = 1e-3
+    gatn_hidden_units: tuple[int, ...] = (128, 128)
+
+    def __post_init__(self):
+        if self.box_mode not in ("white", "black"):
+            raise ValueError(f"unknown box_mode {self.box_mode!r}")
+        if self.teacher_kind not in ("fcn", "dtw1nn"):
+            raise ValueError(f"unknown teacher_kind {self.teacher_kind!r}")
+        if self.alpha <= 1.0:
+            raise ValueError(f"alpha must be > 1 for the reranking argmax guarantee, got {self.alpha}")
+        if self.beta <= 0.0:
+            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if self.target_class < 0:
+            raise ValueError("target_class must be >= 0")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 @dataclass

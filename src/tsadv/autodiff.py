@@ -127,8 +127,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+def add(a: Tensor, b: Tensor, overwrite: bool = False) -> Tensor:
+    """a + b, broadcast. ``overwrite`` writes the sum over ``a.data`` when
+    that already has the sum's dtype and shape."""
+    out = None
+    if (overwrite and np.result_type(a.data, b.data) == a.data.dtype
+            and np.broadcast_shapes(a.data.shape, b.data.shape) == a.data.shape):
+        out = a.data
+    data = np.add(a.data, b.data, out=out)
 
     def backward(g):
         if _needs_grad(a):
@@ -266,12 +272,25 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     return _node(s, (a,), backward)
 
 
+def _pad(x: np.ndarray, K: int, padding: str) -> np.ndarray:
+    """x: [B, C, L] as conv1d windows it: x itself for "valid"; for "same", a
+    copy with K - 1 zeros along L, (K - 1) // 2 of them on the left."""
+    if padding == "valid":
+        return x
+    B, C, L = x.shape
+    left = (K - 1) // 2
+    xp = np.zeros((B, C, L + K - 1), dtype=x.dtype)
+    xp[:, :, left : left + L] = x
+    return xp
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     """1-D cross-correlation, stride 1.
 
     x: [B, C_in, L], w: [C_out, C_in, K], b: [C_out]. "same" pads to keep L,
     with the extra element on the right for even kernels; "valid" yields
-    L - K + 1 and raises if that is < 1.
+    L - K + 1 and raises if that is < 1. The weight gradient pads x again
+    rather than keep the padded copy alive until backward.
     """
     if padding not in ("same", "valid"):
         raise ValueError(f"unknown padding mode {padding!r}")
@@ -279,28 +298,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     Cout, Cin_w, K = w.data.shape
     if Cin != Cin_w:
         raise ValueError(f"conv1d input has {Cin} channels, weights expect {Cin_w}")
-    if padding == "same":
-        left = (K - 1) // 2
-        xp = np.zeros((B, Cin, L + K - 1), dtype=x.data.dtype)
-        xp[:, :, left : left + L] = x.data
-    else:
-        left = 0
-        xp = x.data
-    l_out = xp.shape[2] - K + 1
+    left = (K - 1) // 2 if padding == "same" else 0
+    l_out = L if padding == "same" else L - K + 1
     if l_out < 1:
         raise ValueError(f"conv1d: input length {L} too short for kernel {K} with valid padding")
-    windows = sliding_window_view(xp, K, axis=2)  # [B, Cin, Lout, K]
+    windows = sliding_window_view(_pad(x.data, K, padding), K, axis=2)  # [B, Cin, Lout, K]
     data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True)
     data += b.data[None, :, None]
-    need_w = _needs_grad(w)
-    if not need_w:
-        windows = None  # only the weight gradient reads the padded input
 
     def backward(g):
         if _needs_grad(b):
             _accumulate(b, g.sum(axis=(0, 2)))
-        if need_w:
+        if _needs_grad(w):
+            windows = sliding_window_view(_pad(x.data, K, padding), K, axis=2)
             _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
+            del windows  # the re-padded copy, before the input gradient's buffers
         if _needs_grad(x):
             # [Cin, K, B, Lout], the same GEMM as einsum("bol,ock->bclk"); each
             # k slice scatters into a contiguous [Cin, B, Lp] buffer

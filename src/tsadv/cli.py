@@ -9,29 +9,28 @@ present is a no-op. Stages written before manifests listed their files rerun
 once. Flags override config-file values, and the fully resolved
 configuration is echoed into the output directory.
 
-The module imports only the stdlib and the numpy-free :mod:`tsadv.config` and
-:mod:`tsadv.reports`; each stage imports the library it runs inside its
-``write``, so an up-to-date stage never loads numpy, and neither does a
-``report`` with no pair of variants to test.
+The module imports only :mod:`tsadv.config` and stdlib modules that an
+up-to-date check needs; each stage imports the library it runs, and builds
+its ``AttackConfig`` or ``DistillConfig``, inside its ``write``, so an
+up-to-date stage loads neither numpy nor ``dataclasses``, ``traceback``,
+``csv`` or :mod:`tsadv.reports`, and a ``report`` with no pair of variants
+to test loads no numpy. ``batch`` runs each dataset in a forked process of
+its own, so a dataset whose process dies fails alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import shutil
 import sys
-import traceback
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import replace
 
-from .config import (BETA_GRID, AttackConfig, DistillConfig, TrainingDivergedError,
-                     attacks_teacher, config_hash)
-from .reports import load_reports_json, replacing, save_reports_csv, save_reports_json
+from .config import (BETA_GRID, DISTILL_GAMMA, TrainingDivergedError, attacks_teacher,
+                     config_hash, replacing)
 
 UCR_ROOT_ENV = "TSADV_UCR_ROOT"
 # what the attack stage showed the teacher on d_eval, kept for evaluate
@@ -278,20 +277,19 @@ def cmd_distill(args) -> int:
     if attacks_teacher(args.box, teacher_manifest["teacher_kind"]):
         raise ValueError(f"a {args.box}-box attack on the {teacher_manifest['teacher_kind']} "
                          f"teacher differentiates through the teacher itself and reads no student")
-    kwargs = dict(tau=args.tau, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                  seed=args.seed_student)
-    config = (DistillConfig.for_box_mode(args.box, **kwargs) if args.gamma is None
-              else DistillConfig(gamma=args.gamma, **kwargs))
-    cfg = {"box": args.box, "gamma": config.gamma, "tau": args.tau, "epochs": args.epochs,
+    gamma = DISTILL_GAMMA[args.box] if args.gamma is None else args.gamma
+    cfg = {"box": args.box, "gamma": gamma, "tau": args.tau, "epochs": args.epochs,
            "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr,
            "teacher": teacher_manifest["config_hash"]}
 
     def write(stage: str) -> dict:
         import numpy as np
-        from .distill import teacher_outputs, train_student
+        from .distill import DistillConfig, teacher_outputs, train_student
         from .models import ArchitectureConfig, build_lenet5_1d
         from .nn import save_model
 
+        config = DistillConfig(gamma=gamma, tau=args.tau, epochs=args.epochs,
+                               batch_size=args.batch_size, lr=args.lr, seed=args.seed_student)
         _keep_freed_memory()
         teacher = _load_teacher(out, "distill")
         d_eval = _load_split(out, "d_eval", "distill")
@@ -356,9 +354,6 @@ def cmd_attack(args) -> int:
             f"teacher stage trained {teacher_manifest['teacher_kind']!r}; rerun train-teacher "
             f"for {args.teacher!r}")
     betas = list(BETA_GRID) if args.beta_grid else [args.beta]
-    base = AttackConfig(box_mode=args.box, teacher_kind=args.teacher, alpha=args.alpha,
-                        beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
-                        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
     student = _student_manifest(out, args.box, args.teacher, teacher_manifest["config_hash"],
                                 "attack")
     # a student distilled from hard labels kept the teacher's clean d_eval
@@ -375,9 +370,13 @@ def cmd_attack(args) -> int:
 
     def write(stage: str) -> dict:
         import numpy as np
-        from .attack import beta_grid_search, select_surrogate
+        from .attack import AttackConfig, beta_grid_search, select_surrogate
         from .nn import load_model, save_model
+        from .reports import save_reports_json
 
+        base = AttackConfig(box_mode=args.box, teacher_kind=args.teacher, alpha=args.alpha,
+                            beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
+                            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
         _keep_freed_memory()
         teacher = _load_teacher(out, "attack")
         surrogate = select_surrogate(base, teacher, None if student is None else load_model(
@@ -428,10 +427,14 @@ def cmd_evaluate(args) -> int:
            "criterion": args.criterion, "all_betas": args.all_betas}
 
     def write(stage: str) -> dict:
+        from dataclasses import replace
+
         import numpy as np
-        from .attack import AttackRun, clean_labels, select_surrogate, surrogate_signal
+        from .attack import (AttackConfig, AttackRun, clean_labels, select_surrogate,
+                             surrogate_signal)
         from .evaluate import count_adversaries, generalization_eval
         from .nn import load_model
+        from .reports import save_reports_csv, save_reports_json
 
         _keep_freed_memory()
         outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
@@ -477,6 +480,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import csv
+
+    from .reports import load_reports_json, save_reports_csv, save_reports_json
+
     def variant(r) -> str:
         return f"{r.box_mode}-{r.teacher_kind}"
 
@@ -537,19 +544,48 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _batch_worker(job) -> tuple[str, int]:
-    """Run one dataset's stages; any error fails that dataset alone."""
-    dataset, argv_per_stage = job
+def _batch_worker(dataset: str, argv_per_stage: list[list[str]]) -> None:
+    """Run one dataset's stages in a child process, which exits with the first
+    failing stage's code; any error fails that dataset alone, with exit code 1."""
     try:
         for argv in argv_per_stage:
             code = main(argv)
             if code != 0:
-                return dataset, code
+                sys.exit(code)
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         print(f"error: {dataset}: {exc}", file=sys.stderr)
-        return dataset, 1
-    return dataset, 0
+        sys.exit(1)
+
+
+def _run_batch_jobs(jobs: list, processes: int) -> list[int]:
+    """Run each ``(dataset, stages)`` job in a forked process of its own, at
+    most ``processes`` at once; returns their exit codes in job order.
+
+    A dataset whose process dies, as an out-of-memory kill ends it, fails
+    alone, with a negative exit code and an error line naming the signal.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    codes = [0] * len(jobs)
+    pending, running = list(enumerate(jobs)), {}  # running: process -> job index
+    while pending or running:
+        while pending and len(running) < processes:
+            i, job = pending.pop(0)
+            proc = ctx.Process(target=_batch_worker, args=job)
+            proc.start()
+            running[proc] = i
+        wait([proc.sentinel for proc in running])
+        for proc in [proc for proc in running if proc.exitcode is not None]:
+            i = running.pop(proc)
+            codes[i] = proc.exitcode
+            if codes[i] < 0:
+                print(f"error: {jobs[i][0]}: killed by signal {-codes[i]}", file=sys.stderr)
+    return codes
 
 
 def cmd_batch(args) -> int:
@@ -572,15 +608,9 @@ def cmd_batch(args) -> int:
             stages.insert(2, ["distill", "--out", out, "--box", args.box,
                               "--epochs", str(args.student_epochs)])
         jobs.append((name, stages))
-    if args.processes and args.processes > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(args.processes) as pool:
-            results = pool.map(_batch_worker, jobs)
-    else:
-        results = [_batch_worker(job) for job in jobs]
-    failed = [name for name, code in results if code != 0]
-    done = [os.path.join(args.out_root, name) for name, code in results if code == 0]
+    codes = _run_batch_jobs(jobs, max(args.processes or 1, 1))
+    failed = [name for (name, _), code in zip(jobs, codes) if code != 0]
+    done = [os.path.join(args.out_root, name) for (name, _), code in zip(jobs, codes) if code == 0]
     report_code = 0
     if done:
         report_code = main(["report", "--out", os.path.join(args.out_root, "report"),
@@ -672,7 +702,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--student-epochs", type=int, default=200)
     p.add_argument("--epochs", type=int, default=100, help="generator epochs")
     p.add_argument("--processes", type=int, default=None,
-                   help="datasets run in parallel worker processes")
+                   help="datasets run at once, each in its own process (default 1)")
     p.set_defaults(func=cmd_batch)
     return parser, sub.choices
 

@@ -16,11 +16,38 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import DistillConfig
+from .config import DISTILL_GAMMA
 from .models import as_conv_input
 from .nn import Network, cross_entropy, fit, predict
 from .teachers import Teacher
 from .util import one_hot, softmax_np
+
+
+@dataclass
+class DistillConfig:
+    """gamma gates distillation vs hard-label loss; tau softens both logits."""
+
+    gamma: float
+    tau: float = 10.0
+    epochs: int = 200
+    batch_size: int = 128
+    lr: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+
+    @classmethod
+    def for_box_mode(cls, box_mode: str, **kwargs) -> "DistillConfig":
+        """The box mode's gamma preset, :data:`tsadv.config.DISTILL_GAMMA`."""
+        if box_mode not in DISTILL_GAMMA:
+            raise ValueError(f"unknown box_mode {box_mode!r}")
+        return cls(gamma=DISTILL_GAMMA[box_mode], **kwargs)
 
 
 @dataclass(frozen=True)

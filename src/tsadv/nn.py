@@ -125,7 +125,8 @@ class BatchNorm1d(Layer):
                             + (1 - m) * var.reshape(-1)).astype(self.running_var.dtype)
         gamma = ad.reshape(self.gamma, (1, self.num_features, 1))
         beta = ad.reshape(self.beta, (1, self.num_features, 1))
-        return gamma * x_hat + beta
+        # the sum overwrites gamma * x_hat, which mul's backward never reads
+        return ad.add(gamma * x_hat, beta, overwrite=True)
 
     def params(self):
         return [self.gamma, self.beta]

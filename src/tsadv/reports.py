@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+
+from .config import replacing
 
 CSV_COLUMNS = ["dataset", "box_mode", "teacher_kind", "beta", "split", "criterion",
                "n_evaluated", "num_adversaries", "mse_adversaries", "mse_all"]
@@ -39,23 +40,6 @@ class AttackReport:
             raise ValueError("MSE fields must be >= 0")
         if self.num_adversaries == 0 and self.mse_adversaries is not None:
             raise ValueError("mse_adversaries is undefined when no adversary was counted")
-
-
-@contextmanager
-def replacing(path: str | os.PathLike, newline: str | None = None):
-    """Open ``<path>.partial`` for writing text; it replaces ``path`` when the block ends.
-
-    A block that raises removes the partial file and leaves ``path`` as it was.
-    """
-    partial = f"{os.fspath(path)}.partial"
-    fh = open(partial, "w", newline=newline, encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        os.remove(partial)
-        raise
-    os.replace(partial, path)
 
 
 def save_reports_csv(reports: list[AttackReport], path: str | os.PathLike) -> None:

@@ -645,17 +645,21 @@ class TestGraphRelease:
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_frozen_weight_conv1d_backward_holds_no_padded_input(self, frozen):
+        """No conv1d keeps its padded input: a trainable one pads x again in backward."""
         rng = np.random.default_rng(61)
         x = Tensor(rng.normal(size=(4, 3, 10)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=not frozen)
         bias = Tensor(rng.normal(size=5), requires_grad=not frozen)
         out = ad.conv1d(x, w, bias)
-        padded = [arr for arr in closure_arrays(out._backward) if arr.shape == (4, 3, 13)]
-        assert bool(padded) is not frozen
+        assert not [arr for arr in closure_arrays(out._backward) if arr.shape == (4, 3, 13)]
         g = rng.normal(size=out.shape)
         out._backward(g)
         expected = einsum_conv1d_input_gradient(x.data, w.data, g, "same")
         assert np.array_equal(x.grad, expected)
+        if not frozen:
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.pad(x.data, ((0, 0), (0, 0), (1, 2))), 4, axis=2)
+            assert np.array_equal(w.grad, np.einsum("bol,bclk->ock", g, windows, optimize=True))
 
 
 class TestTrainStep:

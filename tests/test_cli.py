@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import asdict
@@ -554,6 +555,25 @@ class TestInvalidTrainingFlags:
         assert err.startswith("error:") and "epochs and batch_size must be >= 1" in err
         assert not os.path.exists(os.path.join(dtw_run, "attack"))
 
+    def test_distill_gamma_above_one(self, dtw_run, capsys):
+        before = sorted(os.listdir(dtw_run))
+        capsys.readouterr()
+        assert run("distill", "--out", dtw_run, "--box", "black", "--gamma", "1.5",
+                   "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma must be in [0, 1], got 1.5" in err
+        assert sorted(os.listdir(dtw_run)) == before
+
+    def test_attack_alpha_one(self, dtw_run, capsys):
+        assert run("distill", "--out", dtw_run, "--box", "black", "--epochs", "1") == 0
+        before = sorted(os.listdir(dtw_run))
+        capsys.readouterr()
+        assert run("attack", "--out", dtw_run, "--box", "black", "--teacher", "dtw1nn",
+                   "--alpha", "1.0", "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha must be > 1" in err
+        assert sorted(os.listdir(dtw_run)) == before
+
     def test_black_box_distill_records_teacher_calls(self, dtw_run):
         assert run("distill", "--out", dtw_run, "--box", "black", "--epochs", "1") == 0
         manifest = json.load(open(os.path.join(dtw_run, "student", "manifest.json")))
@@ -564,7 +584,7 @@ class TestInvalidTrainingFlags:
 class TestInterruptedStage:
     def test_interrupted_attack_leaves_completed_stage(self, tmp_path, monkeypatch, capsys):
         """A stage that dies after writing some artifacts leaves the previous stage whole."""
-        import tsadv.cli as cli_module
+        import tsadv.reports as reports_module
         from tsadv.nn import load_model
 
         out = str(tmp_path / "run")
@@ -577,7 +597,7 @@ class TestInterruptedStage:
             raise RuntimeError("interrupted")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli_module, "save_reports_json", crash)
+            patch.setattr(reports_module, "save_reports_json", crash)
             with pytest.raises(RuntimeError, match="interrupted"):
                 run(*attack, "--epochs", "3")
         capsys.readouterr()
@@ -859,6 +879,11 @@ def imports_numpy(imported):
     return any(name == "numpy" or name.startswith("numpy.") for name in imported)
 
 
+# what a stage loads only to run: none of it belongs on the path to the up-to-date check
+STAGE_ONLY_MODULES = ("numpy", "ctypes", "dataclasses", "inspect", "traceback", "csv",
+                      "tsadv.reports")
+
+
 class TestEntryPoint:
     """`python -m tsadv.cli` as a user runs it: a stage imports only what it runs."""
 
@@ -947,6 +972,37 @@ class TestEntryPoint:
         assert err.startswith("error:") and "rerun `tsadv attack`" in err
         assert not imports_numpy(imported) and "ctypes" not in imported
 
+    def test_start_up_path_loads_no_stage_only_module(self, black_dtw_run, tmp_path):
+        """Importing the CLI, every up-to-date stage, the dtw1nn teacher stage and
+        evaluate's refusal of a stale attack stage load none of STAGE_ONLY_MODULES
+        beyond what a bare interpreter has loaded already."""
+        out = copy_run(black_dtw_run, tmp_path)
+        entries = {"import": ("-c", "import tsadv.cli")}
+        for argv in (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
+                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
+                     ("evaluate",)):
+            entries[f"up-to-date {argv[0]}"] = ("-m", "tsadv.cli", *argv, "--out", out)
+        bare = fresh_interpreter("-c", "pass")[3]
+        loaded = {}
+        for name, args in entries.items():
+            code, stdout, _, imported = fresh_interpreter(*args)
+            assert code == 0 and (name == "import" or "up to date" in stdout), name
+            loaded[name] = imported - bare
+        shutil.rmtree(os.path.join(out, "teacher"))
+        code, stdout, _, imported = fresh_interpreter(
+            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
+        assert code == 0 and "up to date" not in stdout
+        loaded["dtw1nn train-teacher"] = imported - bare
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "7") == 0
+        code, _, err, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
+        assert code == 1 and "rerun `tsadv attack`" in err
+        loaded["stale attack refusal"] = imported - bare
+        offending = {name: sorted(m for m in imported if m.split(".")[0] in STAGE_ONLY_MODULES
+                                  or m in STAGE_ONLY_MODULES)
+                     for name, imported in loaded.items()}
+        assert offending == {name: [] for name in loaded}
+
     def test_missing_stage_is_an_error_line(self, tmp_path):
         out = str(tmp_path / "empty")
         os.makedirs(out)
@@ -1013,6 +1069,24 @@ class TestKeepFreedMemory:
         self.keep_with(monkeypatch, SimpleNamespace())
 
 
+# `python -c` program: `tsadv` with a teacher training that kills its own process on PowerB
+KILLED_ON_POWER_B = """
+import os, signal, sys
+import tsadv.models as models
+from tsadv.cli import main
+
+train_classifier = models.train_classifier
+
+def killed_on_power_b(model, dataset, hyper):
+    if dataset.name == "PowerB":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return train_classifier(model, dataset, hyper)
+
+models.train_classifier = killed_on_power_b
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestBatch:
     def test_two_dataset_batch_produces_report(self, tmp_path, monkeypatch):
         write_two_power_datasets(tmp_path, monkeypatch)
@@ -1025,7 +1099,7 @@ class TestBatch:
         splits = {r["split"] for r in report["reports"]}
         assert splits == {"d_eval", "d_test"}
 
-    def test_diverged_training_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
+    def test_diverged_training_fails_one_dataset_only(self, tmp_path, monkeypatch, capfd):
         import tsadv.models as models
         from tsadv.nn import TrainingDivergedError
 
@@ -1041,16 +1115,16 @@ class TestBatch:
         single = str(tmp_path / "single")
         assert run("prepare", "--out", single, "--dataset", "PowerB") == 0
         assert run("train-teacher", "--out", single, "--teacher", "fcn", "--epochs", "1") == 1
-        assert "error: non-finite loss" in capsys.readouterr().err
+        assert "error: non-finite loss" in capfd.readouterr().err
         out_root = str(tmp_path / "runs")
         assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
                    "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1",
                    "--processes", "2") == 1
-        assert "PowerB" in capsys.readouterr().err
+        assert "PowerB" in capfd.readouterr().err
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
         assert {r["dataset"] for r in report["reports"]} == {"PowerA"}
 
-    def test_unexpected_error_fails_one_dataset_only(self, tmp_path, monkeypatch, capsys):
+    def test_unexpected_error_fails_one_dataset_only(self, tmp_path, monkeypatch, capfd):
         import tsadv.models as models
 
         train_classifier = models.train_classifier
@@ -1065,16 +1139,49 @@ class TestBatch:
         out_root = str(tmp_path / "runs")
         assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
                    "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1") == 1
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert "error: PowerA: disk on fire" in err
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
         assert {r["dataset"] for r in report["reports"]} == {"PowerB"}
 
-    def test_failed_dataset_reported(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("processes", [[], ["--processes", "2"]],
+                             ids=["one-at-a-time", "two-processes"])
+    def test_killed_dataset_fails_alone(self, tmp_path, monkeypatch, processes):
+        """A dataset whose process is killed fails alone; the batch neither hangs nor dies.
+
+        Run from a process group of its own, so that a batch which hangs is
+        ended, with every process it started, once the timeout passes.
+        """
+        write_two_power_datasets(tmp_path, monkeypatch)
+        out_root = str(tmp_path / "runs")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILLED_ON_POWER_B, "batch", "--out-root", out_root,
+             "--box", "white", "--teacher", "fcn", "--datasets", "PowerA,PowerB",
+             "--teacher-epochs", "5", "--epochs", "1", *processes],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=90)
+            with pytest.raises(ProcessLookupError):  # the batch left no process running
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert proc.returncode == 1, err
+        assert f"error: PowerB: killed by signal {int(signal.SIGKILL)}" in err
+        report = json.load(open(os.path.join(out_root, "report", "report.json")))
+        assert {r["dataset"] for r in report["reports"]} == {"PowerA"}
+
+    def test_failed_dataset_reported(self, tmp_path, monkeypatch, capfd):
         monkeypatch.setenv("TSADV_UCR_ROOT", str(tmp_path / "nowhere"))
         assert run("batch", "--out-root", str(tmp_path / "runs"), "--box", "white",
                    "--teacher", "fcn", "--datasets", "Missing") == 1
-        assert "Missing" in capsys.readouterr().err
+        assert "Missing" in capfd.readouterr().err
 
 
 class TestFourVariantReport:
