@@ -179,7 +179,7 @@ def cmd_prepare(args) -> int:
            "synthetic": args.synthetic, "files": files}
 
     def write(stage: str) -> dict:
-        from .data import load_ucr, preprocess_dataset, remap_labels, save_ucr, stratified_split
+        from .data import load_ucr, preprocess_dataset, save_ucr, stratified_split
         from .synthetic import make_bump_dataset
 
         if args.synthetic:
@@ -188,30 +188,30 @@ def cmd_prepare(args) -> int:
             pool = make_bump_dataset(n_per_class=64, length=32, seed=args.seed_split + 200,
                                      name="bumps")
         else:
-            delimiter = DELIMITERS[args.delimiter]
-            teacher_train = remap_labels(load_ucr(train_file, delimiter))
-            pool = remap_labels(load_ucr(test_file, delimiter))
+            # the raw rows, ragged and NaN-gapped, live only until preprocess_dataset
+            raw = [(path, *load_ucr(path, DELIMITERS[args.delimiter]))
+                   for path in (train_file, test_file)]
+            target_len = max(len(row) for _, _, rows in raw for row in rows)
+            teacher_train, pool = (preprocess_dataset(path, labels, rows, target_len, args.znorm)
+                                   for path, labels, rows in raw)
             if teacher_train.label_map != pool.label_map:  # each file was remapped alone
-                raise ValueError(f"train file labels {sorted(teacher_train.label_map)} differ "
-                                 f"from test file labels {sorted(pool.label_map)}")
-            target_len = max(max(len(s) for s in teacher_train.series),
-                             max(len(s) for s in pool.series))
-            teacher_train = preprocess_dataset(teacher_train, target_len, znorm=args.znorm)
-            pool = preprocess_dataset(pool, target_len, znorm=args.znorm)
-        split = stratified_split(pool, seed=args.seed_split)
+                raise ValueError(f"train file {train_file} labels {sorted(teacher_train.label_map)}"
+                                 f" differ from test file {test_file} labels "
+                                 f"{sorted(pool.label_map)}")
+        d_eval, d_test = stratified_split(pool, seed=args.seed_split)
         save_ucr(teacher_train, os.path.join(stage, "teacher_train.tsv"))
-        save_ucr(split.d_eval, os.path.join(stage, "d_eval.tsv"))
-        save_ucr(split.d_test, os.path.join(stage, "d_test.tsv"))
+        save_ucr(d_eval, os.path.join(stage, "d_eval.tsv"))
+        save_ucr(d_test, os.path.join(stage, "d_test.tsv"))
         print(f"[prepare] {dataset_name}: train={len(teacher_train)} "
-              f"d_eval={len(split.d_eval)} d_test={len(split.d_test)}")
+              f"d_eval={len(d_eval)} d_test={len(d_test)}")
         return {
             "length": teacher_train.length,
             "num_classes": pool.num_classes,
             "label_map": {str(k): v for k, v in pool.label_map.items()},
-            "counts": {"teacher_train": len(teacher_train), "d_eval": len(split.d_eval),
-                       "d_test": len(split.d_test)},
-            "class_counts": {"d_eval": dict(Counter(split.d_eval.labels.tolist())),
-                             "d_test": dict(Counter(split.d_test.labels.tolist()))},
+            "counts": {"teacher_train": len(teacher_train), "d_eval": len(d_eval),
+                       "d_test": len(d_test)},
+            "class_counts": {"d_eval": dict(Counter(d_eval.labels.tolist())),
+                             "d_test": dict(Counter(d_test.labels.tolist()))},
         }
 
     _run_stage(args.out, "prepare", cfg, write)
@@ -221,11 +221,10 @@ def cmd_prepare(args) -> int:
 def _load_split(out: str, which: str, needed_by: str):
     from .data import Dataset, load_ucr, remap_labels
 
-    manifest = _load_manifest(out, "prepare", needed_by)
-    loaded = remap_labels(load_ucr(os.path.join(out, "prepare", f"{which}.tsv")))
     # file basenames are stage-local; reports must carry the dataset's name
-    return Dataset(name=manifest["config"]["dataset"], series=loaded.series,
-                   label_map=loaded.label_map)
+    name = _load_manifest(out, "prepare", needed_by)["config"]["dataset"]
+    labels, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
+    return Dataset(name, rows, *remap_labels(labels, name))
 
 
 def cmd_train_teacher(args) -> int:

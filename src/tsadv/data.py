@@ -2,15 +2,17 @@
 evaluation split.
 
 File format: delimiter-separated text, one series per row, first field is the
-class label. Missing values are NaN tokens; variable-length rows are allowed
-and resolved by :func:`preprocess_dataset`.
+class label. Missing values are NaN tokens, and rows may differ in length.
+Such raw rows exist only between :func:`load_ucr` and
+:func:`preprocess_dataset`, which fills, resamples and stacks them into a
+:class:`Dataset`: one ``[N, T]`` matrix and its 0-based labels.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,98 +24,54 @@ class UCRParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class TimeSeries:
-    """One labeled univariate series.
+class Dataset:
+    """A named read-only ``[N, T]`` float64 matrix of series and their labels.
 
-    ``label`` is a raw file label before remapping and a contiguous 0-based
-    class index afterwards. ``source_id`` is the row index in the originating
-    file and survives preprocessing and splitting.
+    ``labels`` holds contiguous 0-based class indices; ``label_map`` maps the
+    original file labels to them, in ascending original order.
     """
 
+    name: str
     values: np.ndarray
-    label: int | None
-    source_id: int
+    labels: np.ndarray
+    label_map: dict[int, int]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ValueError("a time series needs at least one value")
-        object.__setattr__(self, "values", readonly(v))
+        values, labels = readonly(self.values, np.float64), readonly(self.labels, np.int64)
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError(f"dataset {self.name!r} is not a nonempty [N, T] matrix")
+        if labels.shape != values.shape[:1]:
+            raise ValueError(f"dataset {self.name!r} needs one label per row")
+        if set(self.label_map.values()) != set(range(len(self.label_map))):
+            raise ValueError("label_map is not a bijection onto 0..C-1")
+        if labels.min() < 0 or labels.max() >= len(self.label_map):
+            raise ValueError(f"dataset {self.name!r} has a label outside [0, C)")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
-
-@dataclass(frozen=True)
-class Dataset:
-    """A named collection of series plus label-remapping metadata.
-
-    ``label_map`` maps original file labels to contiguous 0-based indices in
-    ascending original order; it is ``None`` until :func:`remap_labels` runs.
-    """
-
-    name: str
-    series: tuple[TimeSeries, ...]
-    label_map: dict[int, int] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        if not self.series:
-            raise ValueError(f"dataset {self.name!r} is empty")
-        if self.label_map is not None:
-            remapped = set(self.label_map.values())
-            if remapped != set(range(len(self.label_map))):
-                raise ValueError("label_map is not a bijection onto 0..C-1")
-            for s in self.series:
-                if s.label is None or not 0 <= s.label < len(self.label_map):
-                    raise ValueError(f"series {s.source_id} label outside [0, C)")
-
-    def __len__(self) -> int:
-        return len(self.series)
-
     @property
     def num_classes(self) -> int:
-        if self.label_map is None:
-            raise ValueError("dataset labels have not been remapped yet")
         return len(self.label_map)
 
     @property
     def length(self) -> int:
-        """Common series length; raises if lengths are still ragged."""
-        lengths = {len(s) for s in self.series}
-        if len(lengths) != 1:
-            raise ValueError(f"dataset {self.name!r} has ragged lengths {sorted(lengths)}")
-        return lengths.pop()
-
-    @property
-    def values(self) -> np.ndarray:
-        """All series stacked as a [N, T] float64 matrix."""
-        self.length
-        return np.stack([s.values for s in self.series])
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.series], dtype=np.int64)
+        return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """Class-balanced halves of an evaluation dataset."""
-
-    d_eval: Dataset
-    d_test: Dataset
-    seed: int
-
-
-def load_ucr(path: str | os.PathLike, delimiter: str | None = "\t") -> Dataset:
-    """Load a delimiter-separated archive file into a raw (unremapped) Dataset.
+def load_ucr(path: str | os.PathLike,
+             delimiter: str | None = "\t") -> tuple[list[int], list[np.ndarray]]:
+    """Load a delimiter-separated archive file as its raw labels and rows.
 
     Each row is ``label, v1, v2, ...``. A ``None`` delimiter splits on runs of
-    whitespace, as :meth:`str.split` does. NaN tokens are kept as missing-value
-    markers for :func:`preprocess`. Fully blank lines are skipped.
+    whitespace, as :meth:`str.split` does. Rows keep their own lengths and
+    their NaN tokens, for :func:`preprocess_dataset`. Fully blank lines are
+    skipped.
     """
     path = os.fspath(path)
-    series = []
+    labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip("\r\n")
@@ -129,15 +87,14 @@ def load_ucr(path: str | os.PathLike, delimiter: str | None = "\t") -> Dataset:
             if not math.isfinite(raw_label) or raw_label != int(raw_label):
                 raise UCRParseError(f"{path}:{lineno}: label {fields[0]!r} is not an integer")
             try:
-                values = np.array([float(tok) for tok in fields[1:]], dtype=np.float64)
+                rows.append(np.array([float(tok) for tok in fields[1:]], dtype=np.float64))
             except ValueError:
                 bad = next(tok for tok in fields[1:] if not _parses_as_float(tok))
                 raise UCRParseError(f"{path}:{lineno}: value field {bad!r} is not a number") from None
-            series.append(TimeSeries(values=values, label=int(raw_label), source_id=len(series)))
-    if not series:
+            labels.append(int(raw_label))
+    if not rows:
         raise UCRParseError(f"{path}: file contains no data rows")
-    name = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(name=name, series=tuple(series), label_map=None)
+    return labels, rows
 
 
 def _parses_as_float(tok: str) -> bool:
@@ -149,35 +106,27 @@ def _parses_as_float(tok: str) -> bool:
 
 
 def save_ucr(dataset: Dataset, path: str | os.PathLike, delimiter: str = "\t") -> None:
-    """Write a dataset back to delimiter format, bit-for-bit reloadable.
-
-    Remapped datasets are written with their original labels so a reload plus
-    :func:`remap_labels` reproduces the input exactly.
-    """
-    inverse = None
-    if dataset.label_map is not None:
-        inverse = {v: k for k, v in dataset.label_map.items()}
+    """Write a dataset in delimiter format with its original labels, so that
+    :func:`load_ucr` plus :func:`remap_labels` reproduces it bit for bit."""
+    inverse = {v: k for k, v in dataset.label_map.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.series:
-            label = s.label if inverse is None else inverse[s.label]
-            fields = [str(label)] + [repr(float(v)) for v in s.values]
+        for label, row in zip(dataset.labels.tolist(), dataset.values):
+            fields = [str(inverse[label])] + [repr(float(v)) for v in row]
             fh.write(delimiter.join(fields) + "\n")
 
 
-def remap_labels(dataset: Dataset) -> Dataset:
-    """Replace raw labels with contiguous 0-based indices in ascending raw order."""
-    raw = sorted({s.label for s in dataset.series})
+def remap_labels(raw_labels: list[int], name: str) -> tuple[np.ndarray, dict[int, int]]:
+    """Contiguous 0-based class indices for raw labels, numbered in ascending
+    raw order, and the map from raw label to index; ``name`` is the dataset's,
+    for the error a single class raises."""
+    raw = sorted(set(raw_labels))
     if len(raw) < 2:
-        raise ValueError(f"dataset {dataset.name!r} has a single class {raw}; need >= 2")
+        raise ValueError(f"dataset {name!r} has a single class {raw}; need >= 2")
     label_map = {r: i for i, r in enumerate(raw)}
-    series = tuple(
-        TimeSeries(values=s.values, label=label_map[s.label], source_id=s.source_id)
-        for s in dataset.series
-    )
-    return Dataset(name=dataset.name, series=series, label_map=label_map)
+    return np.array([label_map[r] for r in raw_labels], dtype=np.int64), label_map
 
 
-def preprocess(series: TimeSeries, target_len: int, znorm: bool = False) -> TimeSeries:
+def preprocess(values: np.ndarray, target_len: int, znorm: bool = False) -> np.ndarray:
     """Fill missing values, resample to ``target_len``, optionally z-normalize.
 
     Interior NaNs are linearly interpolated; leading/trailing NaNs take the
@@ -186,10 +135,10 @@ def preprocess(series: TimeSeries, target_len: int, znorm: bool = False) -> Time
     """
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
-    v = series.values
+    v = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(v)
     if finite.sum() < 2:
-        raise ValueError(f"series {series.source_id} has {int(finite.sum())} finite value(s); need >= 2")
+        raise ValueError(f"a series has {int(finite.sum())} finite value(s); need >= 2")
     if not finite.all():
         idx = np.arange(v.shape[0], dtype=np.float64)
         v = np.interp(idx, idx[finite], v[finite])
@@ -204,47 +153,38 @@ def preprocess(series: TimeSeries, target_len: int, znorm: bool = False) -> Time
             v = np.zeros_like(v)
         else:
             v = (v - mu) / sigma
-    return TimeSeries(values=v, label=series.label, source_id=series.source_id)
+    return v
 
 
-def preprocess_dataset(dataset: Dataset, target_len: int, znorm: bool = False) -> Dataset:
-    """Apply :func:`preprocess` to every series."""
-    series = tuple(preprocess(s, target_len, znorm) for s in dataset.series)
-    return Dataset(name=dataset.name, series=series, label_map=dataset.label_map)
+def preprocess_dataset(name: str, raw_labels: list[int], rows: list[np.ndarray],
+                       target_len: int, znorm: bool = False) -> Dataset:
+    """The :class:`Dataset` of raw rows, each run through :func:`preprocess`,
+    with their labels remapped by :func:`remap_labels`."""
+    labels, label_map = remap_labels(raw_labels, name)
+    return Dataset(name, [preprocess(row, target_len, znorm) for row in rows], labels, label_map)
 
 
-def stratified_split(dataset: Dataset, seed: int) -> SplitPair:
-    """Split into class-balanced halves, the extra odd sample going to d_eval.
+def stratified_split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Split into class-balanced halves ``(d_eval, d_test)``, the extra odd
+    sample going to d_eval.
 
     Membership is a seeded permutation per class; within each half the
-    original file order is preserved. Deterministic for a fixed seed.
+    original row order is preserved. Deterministic for a fixed seed.
     """
-    labels = dataset.labels
     rng = np.random.default_rng(seed)
     eval_idx: list[int] = []
     test_idx: list[int] = []
-    inverse = {v: k for k, v in dataset.label_map.items()} if dataset.label_map else {}
+    inverse = {v: k for k, v in dataset.label_map.items()}
     for c in range(dataset.num_classes):
-        members = np.flatnonzero(labels == c)
+        members = np.flatnonzero(dataset.labels == c)
         if members.shape[0] < 2:
-            raw = inverse.get(c, c)
-            raise ValueError(
-                f"class {c} (raw label {raw}) has {members.shape[0]} sample(s); need >= 2 to split"
-            )
+            raise ValueError(f"class {c} (raw label {inverse[c]}) has {members.shape[0]} "
+                             f"sample(s); need >= 2 to split")
         perm = rng.permutation(members)
         n_eval = (members.shape[0] + 1) // 2
         eval_idx.extend(perm[:n_eval].tolist())
         test_idx.extend(perm[n_eval:].tolist())
-    eval_idx.sort()
-    test_idx.sort()
-    d_eval = Dataset(
-        name=f"{dataset.name}/eval",
-        series=tuple(dataset.series[i] for i in eval_idx),
-        label_map=dataset.label_map,
-    )
-    d_test = Dataset(
-        name=f"{dataset.name}/test",
-        series=tuple(dataset.series[i] for i in test_idx),
-        label_map=dataset.label_map,
-    )
-    return SplitPair(d_eval=d_eval, d_test=d_test, seed=seed)
+    d_eval, d_test = (Dataset(f"{dataset.name}/{half}", dataset.values[idx], dataset.labels[idx],
+                              dataset.label_map)
+                      for half, idx in (("eval", sorted(eval_idx)), ("test", sorted(test_idx))))
+    return d_eval, d_test

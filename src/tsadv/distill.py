@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import DISTILL_GAMMA
 from .models import as_conv_input
 from .nn import Network, cross_entropy, fit, predict
 from .teachers import Teacher
@@ -41,13 +40,6 @@ class DistillConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-
-    @classmethod
-    def for_box_mode(cls, box_mode: str, **kwargs) -> "DistillConfig":
-        """The box mode's gamma preset, :data:`tsadv.config.DISTILL_GAMMA`."""
-        if box_mode not in DISTILL_GAMMA:
-            raise ValueError(f"unknown box_mode {box_mode!r}")
-        return cls(gamma=DISTILL_GAMMA[box_mode], **kwargs)
 
 
 @dataclass(frozen=True)

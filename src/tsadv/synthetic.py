@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, TimeSeries
+from .data import Dataset
 
 
 def make_bump_dataset(
@@ -16,15 +16,11 @@ def make_bump_dataset(
 ) -> Dataset:
     """Two-class toy set: a half-sine bump (class 0) and its negation (class 1)."""
     rng = np.random.default_rng(seed)
-    t = np.linspace(0.0, np.pi, length)
-    bump = np.sin(t)
-    series = []
-    for c in (0, 1):
-        sign = 1.0 if c == 0 else -1.0
-        for _ in range(n_per_class):
-            v = sign * bump + rng.normal(0.0, noise, size=length)
-            series.append(TimeSeries(values=v, label=c, source_id=len(series)))
-    return Dataset(name=name, series=tuple(series), label_map={0: 0, 1: 1})
+    labels = np.repeat([0, 1], n_per_class)
+    signs = np.where(labels == 0, 1.0, -1.0)[:, None]
+    values = signs * np.sin(np.linspace(0.0, np.pi, length)) + rng.normal(
+        0.0, noise, size=(labels.shape[0], length))
+    return Dataset(name, values, labels, {0: 0, 1: 1})
 
 
 def make_power_profile_rows(n_rows: int, length: int = 24, seed: int = 0) -> list[str]:

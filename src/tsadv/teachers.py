@@ -73,8 +73,8 @@ class DTW1NNTeacher(Teacher):
 
     def __init__(self, ref_values: np.ndarray, ref_labels: np.ndarray):
         super().__init__()
-        self.ref_values = readonly(np.asarray(ref_values, dtype=np.float64))
-        self.ref_labels = readonly(np.asarray(ref_labels, dtype=np.int64))
+        self.ref_values = readonly(ref_values, np.float64)
+        self.ref_labels = readonly(ref_labels, np.int64)
         if self.ref_values.ndim != 2 or self.ref_labels.shape[0] != self.ref_values.shape[0]:
             raise ValueError("reference values must be [M, T] with one label per row")
 

@@ -41,9 +41,9 @@ def rankdata_average(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous copy with the writeable flag cleared."""
-    out = np.array(arr, copy=True)
+def readonly(arr, dtype=None) -> np.ndarray:
+    """Return a copy, as ``dtype`` if given, with the writeable flag cleared."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

@@ -10,7 +10,7 @@ import itertools
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from tsadv.attack import (
     train_gatn,
 )
 from tsadv.autodiff import Tensor
-from tsadv.data import Dataset, TimeSeries, load_ucr, remap_labels, stratified_split
+from tsadv.data import Dataset, load_ucr, remap_labels, stratified_split
 from tsadv.distill import DistillConfig, teacher_outputs, train_student
 from tsadv.dtw import dtw_distance, nn1_classify, soft_1nn
 from tsadv.evaluate import generalization_eval, wilcoxon_signed_rank
@@ -83,7 +83,7 @@ class PipelineResult:
 
 def run_white_box_fcn_pipeline(train: Dataset, pool: Dataset, gatn_epochs: int) -> PipelineResult:
     """Criterion 6 recipe: teacher, 5-point beta grid, Fig.-7 style d_test pass."""
-    split = stratified_split(pool, seed=0)
+    d_eval, d_test = stratified_split(pool, seed=0)
     t0 = time.time()
     teacher_net = build_fcn(ArchitectureConfig(input_length=train.length, num_classes=2,
                                                architecture="fcn", seed=0))
@@ -95,13 +95,13 @@ def run_white_box_fcn_pipeline(train: Dataset, pool: Dataset, gatn_epochs: int) 
                         target_class=1, seed=0, epochs=gatn_epochs)
     t0 = time.time()
     surrogate = select_surrogate(base, teacher, None)
-    runs, reports, best, _ = beta_grid_search(base, split.d_eval, teacher, surrogate)
-    signal = surrogate_signal(surrogate, split.d_test.values, base.target_class)
-    test_report = generalization_eval(runs[best], teacher, split.d_test, "labeled", signal,
-                                      clean_labels(teacher, surrogate, split.d_test.values, signal))
+    runs, reports, best, _ = beta_grid_search(base, d_eval, teacher, surrogate)
+    signal = surrogate_signal(surrogate, d_test.values, base.target_class)
+    test_report = generalization_eval(runs[best], teacher, d_test, "labeled", signal,
+                                      clean_labels(teacher, surrogate, d_test.values, signal))
     attack_seconds = time.time() - t0
     return PipelineResult(
-        train=train, d_eval=split.d_eval, d_test=split.d_test,
+        train=train, d_eval=d_eval, d_test=d_test,
         teacher_net=teacher_net, teacher=teacher,
         grid_counts=[r.num_adversaries for r in reports],
         grid_hashes=[run.gatn.state_hash() for run in runs],
@@ -121,7 +121,12 @@ def power_inputs(directory) -> tuple[Dataset, Dataset]:
     test_path = os.path.join(directory, "PowerProfile_TEST.tsv")
     write_power_profile_archive(train_path, test_path, n_train=67, n_test=1029,
                                 length=24, seed=7)
-    return remap_labels(load_ucr(train_path)), remap_labels(load_ucr(test_path))
+
+    def load(path):
+        labels, rows = load_ucr(path)
+        return Dataset(path, rows, *remap_labels(labels, path))
+
+    return load(train_path), load(test_path)
 
 
 @pytest.fixture(scope="module")
@@ -373,11 +378,7 @@ def test_criterion_08_black_box_hygiene(synthetic_pipeline):
         teacher = FCNTeacher(p.teacher_net)  # fresh wrapper, fresh call counters
         outputs = teacher_outputs(teacher, p.d_eval.values, mode="hard")
         assert outputs.soft_probs is None
-        flipped = Dataset(
-            name="flipped",
-            series=tuple(TimeSeries(values=s.values, label=1 - s.label, source_id=s.source_id)
-                         for s in p.d_eval.series),
-            label_map=p.d_eval.label_map)
+        flipped = replace(p.d_eval, name="flipped", labels=1 - p.d_eval.labels)
         artifacts = []
         for split in (p.d_eval, flipped):
             student = build_lenet5_1d(ArchitectureConfig(input_length=32, num_classes=2,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -411,14 +413,8 @@ class TestBlackBoxHygiene:
         path consumed labels or teacher probabilities the artifacts would
         diverge or the probe counter would move.
         """
-        from tsadv.data import Dataset, TimeSeries
-
         d_eval = make_bump_dataset(n_per_class=16, length=32, seed=32, name="bb-eval")
-        flipped = Dataset(
-            name="bb-eval-flipped",
-            series=tuple(TimeSeries(values=s.values, label=1 - s.label, source_id=s.source_id)
-                         for s in d_eval.series),
-            label_map=d_eval.label_map)
+        flipped = replace(d_eval, name="bb-eval-flipped", labels=1 - d_eval.labels)
         teacher = FCNTeacher(trained_teacher)
         outputs = teacher_outputs(teacher, d_eval.values, mode="hard")
         assert teacher.calls["predict_proba"] == 0

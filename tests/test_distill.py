@@ -78,10 +78,6 @@ class TestTeacherOutputs:
 
 
 class TestDistillConfig:
-    def test_presets(self):
-        assert DistillConfig.for_box_mode("white").gamma == 0.5
-        assert DistillConfig.for_box_mode("black").gamma == 1.0
-
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError, match="gamma"):
             DistillConfig(gamma=1.5)

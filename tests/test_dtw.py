@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tsadv.dtw as dtw_module
-from tsadv.data import Dataset, TimeSeries
+from tsadv.data import Dataset
 from tsadv.dtw import (
     dtw_distance,
     dtw_pairwise,
@@ -66,14 +66,6 @@ def row_by_row_matrix(ev, ref):
     return np.array([[row_by_row_distance(q, c) for c in ref] for q in ev])
 
 
-def dataset_from_matrix(values, labels=None):
-    series = tuple(
-        TimeSeries(values=v, label=int(labels[i]) if labels is not None else 0, source_id=i)
-        for i, v in enumerate(np.atleast_2d(values))
-    )
-    return Dataset(name="m", series=series, label_map=None)
-
-
 class TestDTWDistance:
     def test_identity_is_zero(self):
         assert dtw_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
@@ -119,7 +111,7 @@ class TestDTWDistance:
 class TestDistanceMatrix:
     def test_zero_diagonal_when_eval_is_ref(self):
         rng = np.random.default_rng(2)
-        ds = dataset_from_matrix(rng.normal(size=(5, 6)), labels=np.zeros(5))
+        ds = Dataset("m", rng.normal(size=(5, 6)), np.zeros(5), {0: 0})
         assert np.array_equal(np.diag(dtw_pairwise(ds.values, ds.values)), np.zeros(5))
 
     def test_single_pair(self):

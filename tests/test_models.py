@@ -17,7 +17,7 @@ from tsadv.models import (
     train_classifier,
 )
 from tsadv.autodiff import Tensor
-from tsadv.data import Dataset, TimeSeries
+from tsadv.data import Dataset
 from tsadv.nn import (
     BatchNorm1d,
     Dense,
@@ -165,8 +165,7 @@ class TestTrainClassifier:
         assert net.training_log[-1]["accuracy"] >= 0.95
 
     def test_single_sample_memorized(self):
-        series = (TimeSeries(values=np.linspace(0, 1, 16), label=1, source_id=0),)
-        ds = Dataset(name="one", series=series, label_map={0: 0, 1: 1})
+        ds = Dataset("one", np.linspace(0, 1, 16)[None, :], [1], {0: 0, 1: 1})
         net = build_lenet5_1d(ArchitectureConfig(input_length=16, num_classes=2,
                                                  architecture="lenet5", seed=0))
         train_classifier(net, ds, TrainConfig(epochs=50, seed=0, early_stop_acc=1.0))
