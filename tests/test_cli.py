@@ -946,6 +946,30 @@ STAGE_ONLY_MODULES = ("numpy", "ctypes", "dataclasses", "inspect", "traceback", 
 class TestEntryPoint:
     """`python -m tsadv.cli` as a user runs it: a stage imports only what it runs."""
 
+    def test_import_leaves_numpy_out(self):
+        code, _, _, imported = fresh_interpreter("-c", "import tsadv.cli")
+        assert code == 0 and "tsadv.config" in imported
+        assert not imports_numpy(imported)
+
+    def test_up_to_date_stages_leave_numpy_out(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        for argv in (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
+                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
+                     ("evaluate",)):
+            code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", *argv, "--out", out)
+            assert code == 0 and "up to date" in stdout, argv
+            assert "tsadv.config" in imported and not imports_numpy(imported), argv
+            assert "ctypes" not in imported, argv
+
+    def test_dtw_teacher_stage_leaves_numpy_out(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "teacher"))
+        code, stdout, _, imported = fresh_interpreter(
+            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
+        assert code == 0 and "up to date" not in stdout
+        assert read_manifest(out, "teacher")["teacher_kind"] == "dtw1nn"
+        assert not imports_numpy(imported) and "ctypes" not in imported
+
     def test_evaluate_stage_leaves_multiprocessing_out(self, black_dtw_run, tmp_path):
         out = copy_run(black_dtw_run, tmp_path)
         code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out,
@@ -997,6 +1021,15 @@ class TestEntryPoint:
         assert "labeled in " + ", ".join(runs[:6]) in err
         assert "unlabeled in " + ", ".join(runs[6:]) in err
         assert not report_dir.exists()
+
+    def test_stale_attack_stage_is_an_error_line(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "7") == 0
+        code, _, err, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
+        assert code == 1
+        assert err.startswith("error:") and "rerun `tsadv attack`" in err
+        assert not imports_numpy(imported) and "ctypes" not in imported
 
     def test_start_up_path_loads_no_stage_only_module(self, black_dtw_run, tmp_path):
         """Importing the CLI, every up-to-date stage, the dtw1nn teacher stage and
