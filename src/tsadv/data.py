@@ -23,12 +23,13 @@ class UCRParseError(ValueError):
     """A data file row that cannot be parsed; message carries the line number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A named read-only ``[N, T]`` float64 matrix of series and their labels.
 
     ``labels`` holds contiguous 0-based class indices; ``label_map`` maps the
-    original file labels to them, in ascending original order.
+    original file labels to them, in ascending original order. Datasets
+    compare and hash by identity, since their fields are arrays.
     """
 
     name: str

@@ -143,18 +143,23 @@ def as_conv_input(x: np.ndarray, dtype=np.float32) -> np.ndarray:
 
 
 def train_classifier(model: Network, dataset: Dataset, hyper: TrainConfig) -> Network:
-    """Minimize cross-entropy against one-hot labels; logs loss/accuracy per epoch."""
+    """Minimize cross-entropy against one-hot labels; logs the loss per epoch
+    and the training accuracy where it is read: after every epoch under
+    ``early_stop_acc``, otherwise after the last epoch only."""
     dtype = model.parameters()[0].dtype
     x_all = as_conv_input(dataset.values, dtype=dtype)
     y_all = one_hot(dataset.labels, dataset.num_classes, dtype=dtype)
+    early_stop = hyper.early_stop_acc is not None
 
     def batch_loss(idx):
         logits = model.forward(Tensor(x_all[idx]), training=True)
         return cross_entropy(y_all[idx], ad.softmax(logits, axis=1))
 
     def end_epoch(entry):
+        if not early_stop and entry["epoch"] < hyper.epochs - 1:
+            return False
         _, probs = predict(model, x_all)
         entry["accuracy"] = float((np.argmax(probs, axis=1) == dataset.labels).mean())
-        return hyper.early_stop_acc is not None and entry["accuracy"] >= hyper.early_stop_acc
+        return early_stop and entry["accuracy"] >= hyper.early_stop_acc
 
     return fit(model, x_all.shape[0], batch_loss, hyper, end_epoch)

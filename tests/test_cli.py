@@ -942,32 +942,57 @@ def imports_numpy(imported):
 STAGE_ONLY_MODULES = ("numpy", "ctypes", "dataclasses", "inspect", "traceback", "csv",
                       "tsadv.reports")
 
+# each is up to date in a finished black_dtw_run
+UP_TO_DATE_STAGES = (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
+                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
+                     ("evaluate",))
+
 
 class TestEntryPoint:
     """`python -m tsadv.cli` as a user runs it: a stage imports only what it runs."""
 
-    def test_import_leaves_numpy_out(self):
-        code, _, _, imported = fresh_interpreter("-c", "import tsadv.cli")
+    @pytest.fixture(scope="class")
+    def start_up(self, black_dtw_run, tmp_path_factory):
+        """One fresh interpreter for each start-up path, run once for the class.
+
+        Records (exit code, stdout, stderr, imported modules) for a bare
+        interpreter, importing the CLI, every up-to-date stage, a rebuilt dtw1nn
+        teacher stage and evaluate's refusal of a stale attack stage, plus the
+        rebuilt teacher's manifest.
+        """
+        out = copy_run(black_dtw_run, tmp_path_factory.mktemp("start_up"))
+        runs = {"bare": fresh_interpreter("-c", "pass"),
+                "import": fresh_interpreter("-c", "import tsadv.cli")}
+        for argv in UP_TO_DATE_STAGES:
+            runs[f"up-to-date {argv[0]}"] = fresh_interpreter("-m", "tsadv.cli", *argv,
+                                                              "--out", out)
+        shutil.rmtree(os.path.join(out, "teacher"))
+        runs["dtw1nn train-teacher"] = fresh_interpreter(
+            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
+        teacher_manifest = read_manifest(out, "teacher")
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "7") == 0
+        runs["stale attack refusal"] = fresh_interpreter("-m", "tsadv.cli", "evaluate",
+                                                         "--out", out)
+        return runs, teacher_manifest
+
+    def test_import_leaves_numpy_out(self, start_up):
+        code, _, _, imported = start_up[0]["import"]
         assert code == 0 and "tsadv.config" in imported
         assert not imports_numpy(imported)
 
-    def test_up_to_date_stages_leave_numpy_out(self, black_dtw_run, tmp_path):
-        out = copy_run(black_dtw_run, tmp_path)
-        for argv in (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
-                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
-                     ("evaluate",)):
-            code, stdout, _, imported = fresh_interpreter("-m", "tsadv.cli", *argv, "--out", out)
+    def test_up_to_date_stages_leave_numpy_out(self, start_up):
+        for argv in UP_TO_DATE_STAGES:
+            code, stdout, _, imported = start_up[0][f"up-to-date {argv[0]}"]
             assert code == 0 and "up to date" in stdout, argv
             assert "tsadv.config" in imported and not imports_numpy(imported), argv
             assert "ctypes" not in imported, argv
 
-    def test_dtw_teacher_stage_leaves_numpy_out(self, black_dtw_run, tmp_path):
-        out = copy_run(black_dtw_run, tmp_path)
-        shutil.rmtree(os.path.join(out, "teacher"))
-        code, stdout, _, imported = fresh_interpreter(
-            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
+    def test_dtw_teacher_stage_leaves_numpy_out(self, start_up):
+        runs, teacher_manifest = start_up
+        code, stdout, _, imported = runs["dtw1nn train-teacher"]
         assert code == 0 and "up to date" not in stdout
-        assert read_manifest(out, "teacher")["teacher_kind"] == "dtw1nn"
+        assert teacher_manifest["teacher_kind"] == "dtw1nn"
         assert not imports_numpy(imported) and "ctypes" not in imported
 
     def test_evaluate_stage_leaves_multiprocessing_out(self, black_dtw_run, tmp_path):
@@ -1022,43 +1047,31 @@ class TestEntryPoint:
         assert "unlabeled in " + ", ".join(runs[6:]) in err
         assert not report_dir.exists()
 
-    def test_stale_attack_stage_is_an_error_line(self, black_dtw_run, tmp_path):
-        out = copy_run(black_dtw_run, tmp_path)
-        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
-                   "--seed-student", "7") == 0
-        code, _, err, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
+    def test_stale_attack_stage_is_an_error_line(self, start_up):
+        code, _, err, imported = start_up[0]["stale attack refusal"]
         assert code == 1
         assert err.startswith("error:") and "rerun `tsadv attack`" in err
         assert not imports_numpy(imported) and "ctypes" not in imported
 
-    def test_start_up_path_loads_no_stage_only_module(self, black_dtw_run, tmp_path):
+    def test_start_up_path_loads_no_stage_only_module(self, start_up):
         """Importing the CLI, every up-to-date stage, the dtw1nn teacher stage and
         evaluate's refusal of a stale attack stage load none of STAGE_ONLY_MODULES
         beyond what a bare interpreter has loaded already."""
-        out = copy_run(black_dtw_run, tmp_path)
-        entries = {"import": ("-c", "import tsadv.cli")}
-        for argv in (("prepare", "--synthetic"), ("train-teacher", "--teacher", "dtw1nn"),
-                     ("distill", "--box", "black", "--epochs", "1"), BLACK_DTW_ATTACK,
-                     ("evaluate",)):
-            entries[f"up-to-date {argv[0]}"] = ("-m", "tsadv.cli", *argv, "--out", out)
-        bare = fresh_interpreter("-c", "pass")[3]
+        runs, teacher_manifest = start_up
+        bare = runs["bare"][3]
         loaded = {}
-        for name, args in entries.items():
-            code, stdout, _, imported = fresh_interpreter(*args)
-            assert code == 0 and (name == "import" or "up to date" in stdout), name
+        for name, (code, stdout, err, imported) in runs.items():
+            if name == "bare":
+                continue
+            if name == "stale attack refusal":
+                assert code == 1 and err.startswith("error:") and "rerun `tsadv attack`" in err
+            elif name == "dtw1nn train-teacher":
+                assert code == 0 and "up to date" not in stdout
+            else:
+                assert code == 0 and (name == "import" or "up to date" in stdout), name
             loaded[name] = imported - bare
         assert "tsadv.config" in loaded["import"]
-        shutil.rmtree(os.path.join(out, "teacher"))
-        code, stdout, _, imported = fresh_interpreter(
-            "-m", "tsadv.cli", "train-teacher", "--out", out, "--teacher", "dtw1nn")
-        assert code == 0 and "up to date" not in stdout
-        assert read_manifest(out, "teacher")["teacher_kind"] == "dtw1nn"
-        loaded["dtw1nn train-teacher"] = imported - bare
-        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
-                   "--seed-student", "7") == 0
-        code, _, err, imported = fresh_interpreter("-m", "tsadv.cli", "evaluate", "--out", out)
-        assert code == 1 and err.startswith("error:") and "rerun `tsadv attack`" in err
-        loaded["stale attack refusal"] = imported - bare
+        assert teacher_manifest["teacher_kind"] == "dtw1nn"
         offending = {name: sorted(m for m in imported if m.split(".")[0] in STAGE_ONLY_MODULES
                                   or m in STAGE_ONLY_MODULES)
                      for name, imported in loaded.items()}

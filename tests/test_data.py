@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,25 @@ from tsadv.data import (
     save_ucr,
     stratified_split,
 )
+from tsadv.synthetic import make_bump_dataset
 
 
 def write(tmp_path, text, name="data.tsv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+class TestDataset:
+    def test_compares_and_hashes_by_identity(self):
+        a, b = make_bump_dataset(seed=0), make_bump_dataset(seed=0)
+        assert a == a and not a != a
+        assert a != b and not a == b  # equal arrays, but two datasets
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        flipped = replace(a, labels=1 - a.labels)
+        assert flipped.name == a.name and flipped.label_map == a.label_map
+        assert np.array_equal(flipped.labels, 1 - a.labels)
+        assert not flipped.labels.flags.writeable and flipped != a
 
 
 class TestLoadUCR:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tsadv.autodiff as ad
+import tsadv.models as models
 from tsadv.models import (
     ArchitectureConfig,
     TrainConfig,
@@ -24,11 +25,13 @@ from tsadv.nn import (
     Network,
     ReLU,
     chunk_rows,
+    cross_entropy,
+    fit,
     input_gradient_with_probs,
     predict,
 )
 from tsadv.synthetic import make_bump_dataset
-from tsadv.util import softmax_np
+from tsadv.util import one_hot, softmax_np
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -183,6 +186,75 @@ class TestTrainClassifier:
             hashes.append(net.state_hash())
         assert logs[0] == logs[1]
         assert hashes[0] == hashes[1]
+
+    @staticmethod
+    def noisy_fcn_run():
+        """A small FCN and a two-class set it fits only after several epochs."""
+        ds = make_bump_dataset(n_per_class=8, length=20, noise=2.0, seed=3)
+        net = build_fcn(ArchitectureConfig(input_length=20, num_classes=2,
+                                           architecture="fcn", seed=7))
+        return net, ds
+
+    @staticmethod
+    def count_predict_calls(monkeypatch):
+        calls = []
+
+        def counting(model, x):
+            calls.append(x.shape[0])
+            return predict(model, x)
+
+        monkeypatch.setattr(models, "predict", counting)
+        return calls
+
+    @staticmethod
+    def train_measuring_every_epoch(model, dataset, hyper):
+        """``train_classifier`` as it was when every epoch ended in an accuracy pass."""
+        x_all = as_conv_input(dataset.values)
+        y_all = one_hot(dataset.labels, dataset.num_classes, dtype=np.float32)
+
+        def batch_loss(idx):
+            logits = model.forward(Tensor(x_all[idx]), training=True)
+            return cross_entropy(y_all[idx], ad.softmax(logits, axis=1))
+
+        def end_epoch(entry):
+            _, probs = predict(model, x_all)
+            entry["accuracy"] = float((np.argmax(probs, axis=1) == dataset.labels).mean())
+            return hyper.early_stop_acc is not None and entry["accuracy"] >= hyper.early_stop_acc
+
+        return fit(model, x_all.shape[0], batch_loss, hyper, end_epoch)
+
+    def test_without_early_stop_only_the_last_epoch_is_measured(self, monkeypatch):
+        net, ds = self.noisy_fcn_run()
+        calls = self.count_predict_calls(monkeypatch)
+        train_classifier(net, ds, TrainConfig(epochs=4, batch_size=8, seed=7))
+        assert calls == [len(ds)]
+        assert ["accuracy" in entry for entry in net.training_log] == [False] * 3 + [True]
+        _, probs = predict(net, as_conv_input(ds.values))
+        assert net.training_log[-1]["accuracy"] == float(
+            (np.argmax(probs, axis=1) == ds.labels).mean())
+
+    def test_without_early_stop_training_matches_an_every_epoch_pass(self):
+        hyper = TrainConfig(epochs=4, batch_size=8, seed=7)
+        net, ds = self.noisy_fcn_run()
+        train_classifier(net, ds, hyper)
+        ref, _ = self.noisy_fcn_run()
+        self.train_measuring_every_epoch(ref, ds, hyper)
+        assert net.state_hash() == ref.state_hash()
+        assert [e["loss"] for e in net.training_log] == [e["loss"] for e in ref.training_log]
+        assert net.training_log[-1] == ref.training_log[-1]
+
+    def test_early_stop_measures_every_epoch_it_runs(self, monkeypatch):
+        hyper = TrainConfig(epochs=12, batch_size=8, seed=7, early_stop_acc=0.8)
+        ref, ds = self.noisy_fcn_run()
+        self.train_measuring_every_epoch(ref, ds, hyper)
+        assert len(ref.training_log) < hyper.epochs  # the run does stop early
+        net, _ = self.noisy_fcn_run()
+        calls = self.count_predict_calls(monkeypatch)
+        train_classifier(net, ds, hyper)
+        assert calls == [len(ds)] * len(net.training_log)
+        assert all("accuracy" in entry for entry in net.training_log)
+        assert net.training_log == ref.training_log
+        assert net.state_hash() == ref.state_hash()
 
     def test_forward_shapes_randomized_lengths(self):
         rng = np.random.default_rng(8)
