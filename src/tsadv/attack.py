@@ -34,7 +34,6 @@ class AttackConfig:
     epochs: int = 100
     batch_size: int = 128
     lr: float = 1e-3
-    gatn_hidden_units: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
         if self.box_mode not in ("white", "black"):
@@ -106,9 +105,8 @@ def gatn_loss(x: np.ndarray, x_hat: Tensor, y_clean: np.ndarray, y_adv: Tensor,
 
 def make_attack_run(config: AttackConfig, input_length: int, surrogate: Network) -> AttackRun:
     """Build an untrained generator wired to ``surrogate`` (see :func:`select_surrogate`)."""
-    gatn = build_gatn(ArchitectureConfig(
-        input_length=input_length, num_classes=2, architecture="gatn",
-        gatn_hidden_units=tuple(config.gatn_hidden_units), seed=config.seed))
+    gatn = build_gatn(ArchitectureConfig(input_length=input_length, num_classes=2,
+                                         architecture="gatn", seed=config.seed))
     return AttackRun(config, surrogate, gatn)
 
 

@@ -467,8 +467,11 @@ def cmd_evaluate(args) -> int:
             reports.append(generalization_eval(run, teacher, d_test, args.criterion,
                                                test_signal, test_clean))
         save_reports_csv(reports, os.path.join(stage, "reports.csv"))
+        # report pools only runs attacked with the same settings
+        attack = {k: acfg[k] for k in ("alpha", "target_class", "epochs", "batch_size", "lr",
+                                       "betas")}
         save_reports_json(reports, os.path.join(stage, "reports.json"),
-                          provenance={"out": out, "criterion": args.criterion})
+                          provenance={"out": out, "criterion": args.criterion, "attack": attack})
         for r in reports:
             print(f"[evaluate] {r.split:7s} beta={r.beta:.0e} criterion={r.criterion}: "
                   f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
@@ -489,14 +492,18 @@ def cmd_report(args) -> int:
     all_reports = []
     eval_reports = {}  # (variant, dataset) -> (run directory, d_eval report)
     runs_by_criterion = {}
+    runs_by_attack = {}  # a reports file without attack settings is not checked
     for run_dir in args.runs:
         path = os.path.join(run_dir, "reports", "reports.json")
         if not os.path.exists(path):
             raise MissingArtifactError(f"no reports in {run_dir}; run `tsadv evaluate` first")
-        reports, _ = load_reports_json(path)
+        reports, provenance = load_reports_json(path)
         all_reports.extend(reports)
         for criterion in dict.fromkeys(r.criterion for r in reports):
             runs_by_criterion.setdefault(criterion, []).append(run_dir)
+        if "attack" in provenance:
+            setting = " ".join(f"{k}={v}" for k, v in provenance["attack"].items())
+            runs_by_attack.setdefault(setting, []).append(run_dir)
         for r in [r for r in reports if r.split == "d_eval"]:
             key = (variant(r), r.dataset)
             if key in eval_reports:  # a Wilcoxon vector holds one count per dataset
@@ -505,10 +512,15 @@ def cmd_report(args) -> int:
                     f"and in {run_dir}; report takes one per variant and dataset (one seed per "
                     f"dataset, evaluated without --all-betas)")
             eval_reports[key] = run_dir, r
-    if len(runs_by_criterion) > 1:  # an unlabeled count is never below the labeled one
-        mix = "; ".join(f"{c} in {', '.join(runs)}" for c, runs in runs_by_criterion.items())
-        raise ValueError(f"runs evaluated under different criteria ({mix}); report compares "
-                         f"runs of one --criterion only")
+    # runs under different criteria or attack settings count different things
+    # (an unlabeled count is never below the labeled one), so none are pooled
+    for runs_by, made, one in ((runs_by_criterion, "evaluated under different criteria",
+                                "one --criterion"),
+                               (runs_by_attack, "attacked with different settings",
+                                "one attack setting")):
+        if len(runs_by) > 1:
+            mix = "; ".join(f"{key} in {', '.join(runs)}" for key, runs in runs_by.items())
+            raise ValueError(f"runs {made} ({mix}); report compares runs of {one} only")
     os.makedirs(args.out, exist_ok=True)
     save_reports_csv(all_reports, os.path.join(args.out, "report.csv"))
     save_reports_json(all_reports, os.path.join(args.out, "report.json"),

@@ -26,35 +26,51 @@ def he_uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarra
 
 
 class Layer:
+    """One layer of a Network.
+
+    ``settings`` names the constructor arguments in spec order and ``arrays``
+    the Tensor parameters, then the plain buffers, in file order; the rules
+    below derive params, state, spec and load_state from them.
+    """
+
     kind = "?"
+    settings: tuple[str, ...] = ()
+    arrays: tuple[str, ...] = ()
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         raise NotImplementedError
 
     def params(self) -> list[Tensor]:
-        return []
+        return [v for v in (getattr(self, name) for name in self.arrays) if isinstance(v, Tensor)]
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameter and buffer arrays, keyed for serialization."""
-        return {}
+        state = {}
+        for name in self.arrays:
+            v = getattr(self, name)
+            state[name] = v.data if isinstance(v, Tensor) else v
+        return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for name, arr in self.state().items():
             loaded = state[name]
             if loaded.shape != arr.shape:
                 raise ValueError(f"{self.kind}: stored {name} shape {loaded.shape} != {arr.shape}")
-        for name in self.state():
-            self._set_state(name, state[name])
-
-    def _set_state(self, name: str, arr: np.ndarray) -> None:
-        raise NotImplementedError
+        for name in self.arrays:
+            v = getattr(self, name)
+            if isinstance(v, Tensor):
+                v.data = state[name].copy()
+            else:
+                setattr(self, name, state[name].copy())
 
     def spec(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.settings}}
 
 
 class Conv1d(Layer):
     kind = "conv1d"
+    settings = ("in_channels", "out_channels", "kernel_size", "padding")
+    arrays = ("w", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  padding: str = "same", rng: np.random.Generator | None = None,
@@ -76,25 +92,13 @@ class Conv1d(Layer):
     def forward(self, x, training):
         return ad.conv1d(x, self.w, self.b, self.padding)
 
-    def params(self):
-        return [self.w, self.b]
-
-    def state(self):
-        return {"w": self.w.data, "b": self.b.data}
-
-    def _set_state(self, name, arr):
-        getattr(self, name).data = arr.copy()
-
-    def spec(self):
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel_size": self.kernel_size,
-                "padding": self.padding}
-
 
 class BatchNorm1d(Layer):
     """Per-channel normalization over (batch, time) with 0.9-momentum running stats."""
 
     kind = "batchnorm"
+    settings = ("num_features", "momentum", "eps")
+    arrays = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5,
                  dtype=np.float32):
@@ -128,23 +132,6 @@ class BatchNorm1d(Layer):
         # the sum overwrites gamma * x_hat, which mul's backward never reads
         return ad.add(gamma * x_hat, beta, overwrite=True)
 
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def state(self):
-        return {"gamma": self.gamma.data, "beta": self.beta.data,
-                "running_mean": self.running_mean, "running_var": self.running_var}
-
-    def _set_state(self, name, arr):
-        if name in ("gamma", "beta"):
-            getattr(self, name).data = arr.copy()
-        else:
-            setattr(self, name, arr.copy())
-
-    def spec(self):
-        return {"kind": self.kind, "num_features": self.num_features,
-                "momentum": self.momentum, "eps": self.eps}
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -156,6 +143,7 @@ class ReLU(Layer):
 
 class MaxPool1d(Layer):
     kind = "maxpool1d"
+    settings = ("pool_size", "stride")
 
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         if pool_size < 1:
@@ -165,9 +153,6 @@ class MaxPool1d(Layer):
 
     def forward(self, x, training):
         return ad.maxpool1d(x, self.pool_size, self.stride)
-
-    def spec(self):
-        return {"kind": self.kind, "pool_size": self.pool_size, "stride": self.stride}
 
 
 class GlobalAvgPool1d(Layer):
@@ -186,6 +171,8 @@ class Flatten(Layer):
 
 class Dense(Layer):
     kind = "dense"
+    settings = ("in_features", "units")
+    arrays = ("w", "b")
 
     def __init__(self, in_features: int, units: int, rng: np.random.Generator | None = None,
                  dtype=np.float32):
@@ -204,18 +191,6 @@ class Dense(Layer):
         if x.data.shape[1] != self.in_features:
             raise ValueError(f"dense expects {self.in_features} features, got {x.data.shape[1]}")
         return ad.matmul(x, self.w) + self.b
-
-    def params(self):
-        return [self.w, self.b]
-
-    def state(self):
-        return {"w": self.w.data, "b": self.b.data}
-
-    def _set_state(self, name, arr):
-        getattr(self, name).data = arr.copy()
-
-    def spec(self):
-        return {"kind": self.kind, "in_features": self.in_features, "units": self.units}
 
 
 _LAYER_KINDS = {cls.kind: cls for cls in
@@ -343,15 +318,13 @@ def l2(a: Tensor, b) -> Tensor:
 class Adam:
     """Adaptive moment estimation with the standard decay constants."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -434,11 +407,7 @@ def load_model(path: str | os.PathLike) -> Network:
         layers = []
         for i, spec in enumerate(meta["layers"]):
             layer = layer_from_spec(spec)
-            state = {}
-            for name in layer.state():
-                state[name] = data[f"layer{i}.{name}"]
-            if state:
-                layer.load_state(state)
+            layer.load_state({name: data[f"layer{i}.{name}"] for name in layer.arrays})
             layers.append(layer)
     model = Network(layers, rng_seed=meta["rng_seed"], architecture=meta["architecture"])
     model.training_log = meta["training_log"]

@@ -68,6 +68,13 @@ class TestPipeline:
         assert by_split["d_eval"].num_adversaries >= 1
         assert by_split["d_eval"].criterion == "labeled"
 
+    def test_reports_record_the_attack_settings(self, white_fcn_run):
+        _, provenance = load_reports_json(os.path.join(white_fcn_run, "reports", "reports.json"))
+        attack = read_manifest(white_fcn_run, "attack")["config"]
+        assert provenance == {"out": white_fcn_run, "criterion": "labeled", "attack": {
+            k: attack[k] for k in ("alpha", "target_class", "epochs", "batch_size", "lr", "betas")}}
+        assert provenance["attack"]["betas"] == [1e-3] and provenance["attack"]["epochs"] == 15
+
     def test_manifests_record_balanced_split(self, white_fcn_run):
         manifest = json.load(open(os.path.join(white_fcn_run, "prepare", "manifest.json")))
         ce = manifest["class_counts"]["d_eval"]
@@ -823,9 +830,10 @@ def write_two_power_datasets(tmp_path, monkeypatch):
 
 
 def write_reports(out, dataset, d_eval_count=3, box_mode="white", teacher_kind="fcn",
-                  criterion="labeled"):
+                  criterion="labeled", attack=None):
     """A run directory holding only reports/reports.json: one report per split,
-    white-box FCN under the labeled criterion unless told otherwise."""
+    white-box FCN under the labeled criterion unless told otherwise; ``attack``,
+    if given, is the provenance's block of attack settings."""
     from tsadv.reports import AttackReport, save_reports_json
 
     os.makedirs(out / "reports")
@@ -833,7 +841,8 @@ def write_reports(out, dataset, d_eval_count=3, box_mode="white", teacher_kind="
                             beta=0.01, num_adversaries=k, mse_adversaries=0.25 if k else None,
                             mse_all=0.125, split=split, criterion=criterion, n_evaluated=10)
                for split, k in (("d_eval", d_eval_count), ("d_test", 0))]
-    save_reports_json(reports, out / "reports" / "reports.json")
+    save_reports_json(reports, out / "reports" / "reports.json",
+                      provenance=None if attack is None else {"attack": attack})
     return str(out)
 
 
@@ -1046,6 +1055,27 @@ class TestEntryPoint:
         assert "labeled in " + ", ".join(runs[:6]) in err
         assert "unlabeled in " + ", ".join(runs[6:]) in err
         assert not report_dir.exists()
+
+    def test_report_refuses_runs_of_different_attack_settings(self, tmp_path):
+        settings = [{"alpha": alpha, "target_class": 1, "epochs": 100, "batch_size": 128,
+                     "lr": 0.001, "betas": [0.01]} for alpha in (1.5, 3)]
+        runs = [write_reports(tmp_path / f"alpha{j}-{i}", f"D{j}{i}", attack=attack)
+                for j, attack in enumerate(settings) for i in range(3)]
+        report_dir = tmp_path / "summary"
+        code, _, err, _ = fresh_interpreter("-m", "tsadv.cli", "report",
+                                            "--out", str(report_dir), "--runs", *runs)
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        setting = "alpha={} target_class=1 epochs=100 batch_size=128 lr=0.001 betas=[0.01] in "
+        assert setting.format(1.5) + ", ".join(runs[:3]) in err
+        assert setting.format(3) + ", ".join(runs[3:]) in err
+        assert not report_dir.exists()
+        # a run whose reports carry no attack settings is not checked
+        unchecked = write_reports(tmp_path / "unchecked", "E")
+        code, _, _, imported = fresh_interpreter("-m", "tsadv.cli", "report", "--out",
+                                                 str(report_dir), "--runs", *runs[:3], unchecked)
+        assert code == 0 and not imports_numpy(imported)
+        assert json.loads((report_dir / "report.json").read_text())["provenance"] == {
+            "runs": [*runs[:3], unchecked]}
 
     def test_stale_attack_stage_is_an_error_line(self, start_up):
         code, _, err, imported = start_up[0]["stale attack refusal"]

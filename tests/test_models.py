@@ -21,14 +21,20 @@ from tsadv.autodiff import Tensor
 from tsadv.data import Dataset
 from tsadv.nn import (
     BatchNorm1d,
+    Conv1d,
     Dense,
+    Flatten,
+    GlobalAvgPool1d,
+    MaxPool1d,
     Network,
     ReLU,
     chunk_rows,
     cross_entropy,
     fit,
     input_gradient_with_probs,
+    load_model,
     predict,
+    save_model,
 )
 from tsadv.synthetic import make_bump_dataset
 from tsadv.util import one_hot, softmax_np
@@ -351,6 +357,77 @@ class TestOverwritingForward:
         net.forward(Tensor(rng.normal(size=(3, 4)).astype(np.float32)), training=True)
         assert np.shares_memory(first.output.data, first.input.data)
         assert not np.shares_memory(second.output.data, second.input.data)
+
+
+# one layer of each kind: (builder, its spec, its state keys, the attributes params() returns)
+LAYER_FORMATS = {
+    "conv1d": (lambda: Conv1d(2, 3, 5, padding="valid"),
+               {"kind": "conv1d", "in_channels": 2, "out_channels": 3, "kernel_size": 5,
+                "padding": "valid"},
+               ["w", "b"], ["w", "b"]),
+    "batchnorm": (lambda: BatchNorm1d(4, momentum=0.8, eps=1e-3),
+                  {"kind": "batchnorm", "num_features": 4, "momentum": 0.8, "eps": 1e-3},
+                  ["gamma", "beta", "running_mean", "running_var"], ["gamma", "beta"]),
+    "relu": (ReLU, {"kind": "relu"}, [], []),
+    "maxpool1d": (lambda: MaxPool1d(3), {"kind": "maxpool1d", "pool_size": 3, "stride": 3},
+                  [], []),
+    "globalavgpool1d": (GlobalAvgPool1d, {"kind": "globalavgpool1d"}, [], []),
+    "flatten": (Flatten, {"kind": "flatten"}, [], []),
+    "dense": (lambda: Dense(6, 2), {"kind": "dense", "in_features": 6, "units": 2},
+              ["w", "b"], ["w", "b"]),
+}
+
+
+class TestModelFile:
+    """The model file format: each layer's spec keys and array names, in order."""
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_FORMATS))
+    def test_spec_keys_in_order(self, kind):
+        build, spec, _, _ = LAYER_FORMATS[kind]
+        assert list(build().spec().items()) == list(spec.items())
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_FORMATS))
+    def test_state_and_params_in_order(self, kind):
+        build, _, state_keys, param_names = LAYER_FORMATS[kind]
+        layer = build()
+        state = layer.state()
+        assert list(state) == state_keys
+        assert all(type(arr) is np.ndarray for arr in state.values())
+        params = layer.params()
+        assert len(params) == len(param_names)
+        assert all(p is getattr(layer, name) for p, name in zip(params, param_names))
+        assert all(state[name] is p.data for p, name in zip(params, param_names))
+
+    def test_load_state_refuses_a_stored_shape(self):
+        with pytest.raises(ValueError, match=r"dense: stored w shape \(5, 2\) != \(6, 2\)"):
+            Dense(6, 2).load_state(Dense(5, 2).state())
+
+    def test_fcn_array_names_in_file_order(self, tmp_path):
+        path = tmp_path / "fcn.npz"
+        save_model(build_fcn(cfg(input_length=20)), path)
+        names = ["__meta__"]
+        for conv, bn in ((0, 1), (3, 4), (6, 7)):  # a block is conv1d, batchnorm, relu
+            names += [f"layer{conv}.w", f"layer{conv}.b", f"layer{bn}.gamma", f"layer{bn}.beta",
+                      f"layer{bn}.running_mean", f"layer{bn}.running_var"]
+        with np.load(path) as data:
+            assert data.files == [*names, "layer10.w", "layer10.b"]
+
+    @pytest.mark.parametrize("architecture", sorted(BUILDERS))
+    def test_save_load_save_keeps_the_bytes(self, architecture, tmp_path):
+        net = BUILDERS[architecture](cfg(input_length=20, num_classes=3,
+                                         architecture=architecture, seed=4))
+        rng = np.random.default_rng(5)
+        for layer in net.layers:  # buffers and parameters away from their initial values
+            for arr in layer.state().values():
+                arr[...] = rng.normal(size=arr.shape)
+        net.training_log = [{"epoch": 0, "loss": 0.5}]
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_model(net, first)
+        back = load_model(first)
+        save_model(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert back.state_hash() == net.state_hash()
+        assert [layer.spec() for layer in back.layers] == [layer.spec() for layer in net.layers]
 
 
 class TestChunkedPasses:
