@@ -6,8 +6,8 @@ directory and swapped in whole once its manifest is written. The manifest
 carries the hash of the stage's resolved configuration and lists the stage's
 files; rerunning a stage with an unchanged configuration and all its files
 present is a no-op. Stages written before manifests listed their files rerun
-once. Flags override config-file values, and the fully resolved
-configuration is echoed into the output directory.
+once. Flags override the ``--config`` file's section for the command, and
+the fully resolved configuration is echoed into the output directory.
 
 The module imports only :mod:`tsadv.config` and stdlib modules that an
 up-to-date check needs; each stage imports the library it runs, and builds
@@ -15,7 +15,8 @@ its ``AttackConfig`` or ``DistillConfig``, inside its ``write``, so an
 up-to-date stage loads neither numpy nor ``dataclasses``, ``traceback``,
 ``csv`` or :mod:`tsadv.reports`, and a ``report`` with no pair of variants
 to test loads no numpy. ``batch`` runs each dataset in a forked process of
-its own, so a dataset whose process dies fails alone.
+its own, so a dataset whose process dies fails alone, and passes its
+``--config`` file, the one source of stage settings, to every command.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ValueError(f"cannot read JSON file {path}: {exc}") from None
 
 
 _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": "distill",
@@ -164,6 +168,9 @@ def _resolve_files(args) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> int:
+    if sum(map(bool, (args.synthetic, args.dataset, args.train_file or args.test_file))) > 1:
+        raise ValueError("prepare reads one data source: --synthetic, --dataset or "
+                         "--train-file/--test-file")
     if args.synthetic:
         dataset_name, files = "bumps", None
     else:
@@ -601,31 +608,25 @@ def _run_batch_jobs(jobs: list, processes: int) -> list[int]:
 
 def cmd_batch(args) -> int:
     """Run the whole pipeline per dataset under one root, then aggregate."""
+    if args.processes < 1:
+        raise ValueError(f"--processes must be >= 1, not {args.processes}")
     datasets = args.datasets.split(",") if args.datasets else list(DEFAULT_BATCH_DATASETS)
+    config = ["--config", args.config] if args.config else []
     jobs = []
     for name in datasets:
         out = os.path.join(args.out_root, name)
-        stages = [
-            ["prepare", "--out", out, "--dataset", name, "--delimiter", args.delimiter,
-             "--seed-split", str(args.seed_split)] + (["--znorm"] if args.znorm else []),
-            ["train-teacher", "--out", out, "--teacher", args.teacher,
-             "--epochs", str(args.teacher_epochs)],
-            ["attack", "--out", out, "--box", args.box, "--teacher", args.teacher,
-             "--alpha", str(args.alpha), "--target-class", str(args.target_class),
-             "--epochs", str(args.epochs), "--beta-grid"],
-            ["evaluate", "--out", out],
-        ]
-        if not attacks_teacher(args.box, args.teacher):
-            stages.insert(2, ["distill", "--out", out, "--box", args.box,
-                              "--epochs", str(args.student_epochs)])
-        jobs.append((name, stages))
-    codes = _run_batch_jobs(jobs, max(args.processes or 1, 1))
+        stages = [["prepare", "--dataset", name], ["train-teacher", "--teacher", args.teacher],
+                  ["distill", "--box", args.box],
+                  ["attack", "--box", args.box, "--teacher", args.teacher, "--beta-grid"],
+                  ["evaluate"]]
+        if attacks_teacher(args.box, args.teacher):  # the attack reads no student
+            del stages[2]
+        jobs.append((name, [[*config, *argv, "--out", out] for argv in stages]))
+    codes = _run_batch_jobs(jobs, args.processes)
     failed = [name for (name, _), code in zip(jobs, codes) if code != 0]
     done = [os.path.join(args.out_root, name) for (name, _), code in zip(jobs, codes) if code == 0]
-    report_code = 0
-    if done:
-        report_code = main(["report", "--out", os.path.join(args.out_root, "report"),
-                            "--runs", *done])
+    report_code = main([*config, "report", "--out", os.path.join(args.out_root, "report"),
+                        "--runs", *done]) if done else 0
     if failed:
         print(f"error: {len(failed)} dataset(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -642,7 +643,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     """The `tsadv` parser, and its subparsers by command name."""
     parser = argparse.ArgumentParser(prog="tsadv",
                                      description="Adversarial attacks on time series classifiers")
-    parser.add_argument("--config", help="JSON file of flag defaults (flags override it)")
+    parser.add_argument("--config", help="JSON file of flag defaults per command (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="load, preprocess and split a dataset")
@@ -704,43 +705,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--teacher", choices=["fcn", "dtw1nn"], required=True)
     p.add_argument("--datasets", help="comma-separated names; defaults to the sensor/ECG/EOG/"
                                       "hemodynamics list")
-    p.add_argument("--delimiter", choices=sorted(DELIMITERS), default="tab")
-    p.add_argument("--znorm", action="store_true")
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--target-class", type=int, default=1)
-    p.add_argument("--seed-split", type=int, default=0)
-    p.add_argument("--teacher-epochs", type=int, default=200)
-    p.add_argument("--student-epochs", type=int, default=200)
-    p.add_argument("--epochs", type=int, default=100, help="generator epochs")
-    p.add_argument("--processes", type=int, default=None,
-                   help="datasets run at once, each in its own process (default 1)")
+    p.add_argument("--processes", type=int, default=1,
+                   help="datasets run at once, each in its own process")
     p.set_defaults(func=cmd_batch)
     return parser, sub.choices
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``, with the ``--config`` file's values as the command's flag defaults.
+    """Parse ``argv``, with the ``--config`` file's section for the command as its flag defaults.
 
-    A file with a top-level key that names a command holds one section per
-    command, and a command without a section takes no defaults; any other
-    file is the defaults of every command. Flags on the command line win.
+    Every top-level key of the file names a command, and its value holds
+    that command's flag defaults; a command without a section takes none.
+    Flags on the command line win.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        try:
-            defaults = _read_json(args.config)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {args.config}: {exc.strerror}") from None
-        if not isinstance(defaults, dict):
+        sections = _read_json(args.config)
+        if not isinstance(sections, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        if not commands.keys().isdisjoint(defaults):
-            defaults = defaults.get(args.command, {})
-            if not isinstance(defaults, dict):
-                raise ValueError(f"config section {args.command!r} must be a JSON object")
+        unknown = sections.keys() - commands.keys()
+        if unknown:
+            raise ValueError(f"config file {args.config}: keys {sorted(unknown)} name no command")
+        defaults = sections.get(args.command, {})
+        if not isinstance(defaults, dict):
+            raise ValueError(f"config section {args.command!r} must be a JSON object")
         for key, value in defaults.items():
             dest = key.replace("-", "_")
-            if dest not in vars(args) or dest in ("command", "func"):
+            if dest not in vars(args) or dest in ("command", "func", "config"):
                 raise ValueError(f"config key {key!r} is not a flag of `tsadv {args.command}`")
             commands[args.command].set_defaults(**{dest: value})
         args = parser.parse_args(argv)

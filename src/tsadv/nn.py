@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -400,17 +401,20 @@ def save_model(model: Network, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> Network:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if meta.get("format_version") != 1:
-            raise ValueError(f"unsupported model format {meta.get('format_version')!r}")
-        layers = []
-        for i, spec in enumerate(meta["layers"]):
-            layer = layer_from_spec(spec)
-            layer.load_state({name: data[f"layer{i}.{name}"] for name in layer.arrays})
-            layers.append(layer)
-    model = Network(layers, rng_seed=meta["rng_seed"], architecture=meta["architecture"])
-    model.training_log = meta["training_log"]
+    try:  # a damaged file is a ValueError naming it
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            if meta.get("format_version") != 1:
+                raise ValueError(f"unsupported model format {meta.get('format_version')!r}")
+            layers = []
+            for i, spec in enumerate(meta["layers"]):
+                layer = layer_from_spec(spec)
+                layer.load_state({name: data[f"layer{i}.{name}"] for name in layer.arrays})
+                layers.append(layer)
+        model = Network(layers, rng_seed=meta["rng_seed"], architecture=meta["architecture"])
+        model.training_log = meta["training_log"]
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load model file {path}: {exc!r}") from None
     return model
 
 

@@ -63,5 +63,8 @@ def save_reports_json(reports: list[AttackReport], path: str | os.PathLike,
 
 def load_reports_json(path: str | os.PathLike) -> tuple[list[AttackReport], dict]:
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    return [AttackReport(**d) for d in blob["reports"]], blob["provenance"]
+        try:
+            blob = json.load(fh)
+            return [AttackReport(**d) for d in blob["reports"]], blob["provenance"]
+        except (KeyError, TypeError, ValueError) as exc:  # not JSON, or not a reports blob
+            raise ValueError(f"{path} is not a reports file: {exc!r}") from None

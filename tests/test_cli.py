@@ -60,6 +60,13 @@ def read_manifest(out, stage):
         return json.load(fh)
 
 
+def write_config(tmp_path, sections):
+    """A ``--config`` file holding ``sections``, one per command; returns its path."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(sections))
+    return str(path)
+
+
 class TestPipeline:
     def test_reports_have_adversaries(self, white_fcn_run):
         reports, _ = load_reports_json(os.path.join(white_fcn_run, "reports", "reports.json"))
@@ -452,7 +459,76 @@ class TestMissingListedFile:
         assert "student.npz" in err and "tsadv distill" in err
 
 
+class TestDamagedFiles:
+    """A damaged model, reports or manifest file ends in an error line naming it."""
+
+    @pytest.mark.parametrize("damage", ["missing array", "truncated"])
+    def test_evaluate_with_a_damaged_student(self, black_dtw_run, tmp_path, capsys, damage):
+        out = copy_run(black_dtw_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "reports"))
+        path = os.path.join(out, "student", "student.npz")
+        if damage == "missing array":
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files if name != "layer0.b"}
+            np.savez(path, **arrays)
+        else:
+            with open(path, "rb") as fh:
+                whole = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(whole[:len(whole) // 2])
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot load model file {path}")
+
+    @pytest.mark.parametrize("damage", ["extra field", "no reports key", "not JSON"])
+    def test_report_on_a_damaged_reports_file(self, tmp_path, capsys, damage):
+        runs = [write_reports(tmp_path / name, name) for name in ("A", "B")]
+        path = os.path.join(runs[1], "reports", "reports.json")
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+        if damage == "extra field":
+            blob["reports"][0]["seed"] = 1
+        elif damage == "no reports key":
+            del blob["reports"]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{'reports': []}" if damage == "not JSON" else json.dumps(blob))
+        report_dir = tmp_path / "summary"
+        assert run("report", "--out", str(report_dir), "--runs", *runs) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not a reports file")
+        assert not report_dir.exists()
+
+    def test_damaged_manifest(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        path = os.path.join(out, "attack", "manifest.json")
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        shutil.rmtree(os.path.join(out, "reports"))
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read JSON file {path}")
+
+
 class TestErrors:
+    @pytest.mark.parametrize("sources", [
+        ("--synthetic", "--dataset", "PowerA"),
+        ("--synthetic", "--train-file", "a.tsv", "--test-file", "b.tsv"),
+        ("--dataset", "PowerA", "--train-file", "a.tsv", "--test-file", "b.tsv"),
+        ("--dataset", "PowerA", "--test-file", "b.tsv"),
+        ("--dataset", "PowerA", "config train-file"),
+    ], ids=["synthetic-dataset", "synthetic-files", "dataset-files", "dataset-test-file",
+            "dataset-config-file"])
+    def test_prepare_refuses_two_data_sources(self, tmp_path, monkeypatch, capsys, sources):
+        """A config section's files never stand in for batch's --dataset, nor the reverse."""
+        write_two_power_datasets(tmp_path, monkeypatch)
+        config = []
+        if sources[-1] == "config train-file":
+            sources = sources[:-1]
+            config = ["--config", write_config(tmp_path, {"prepare": {"train-file": "a.tsv"}})]
+        out = tmp_path / "run"
+        assert run(*config, "prepare", "--out", str(out), *sources) == 1
+        assert capsys.readouterr().err.startswith("error: prepare reads one data source:")
+        assert not out.exists()
+
     def test_evaluate_without_attack_names_command(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
         os.makedirs(out)
@@ -663,6 +739,30 @@ class TestConfigFile:
         cfg.write_text(json.dumps([{"synthetic": True}]))
         assert run("--config", str(cfg), "prepare", "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err.startswith("error: config file")
+
+    @pytest.mark.parametrize("command", [("prepare", "--out"), ("batch", "--box", "white",
+                                          "--teacher", "fcn", "--out-root")],
+                             ids=["prepare", "batch"])
+    def test_non_command_top_level_key_is_an_error_line(self, tmp_path, capsys, command):
+        """The one layout: a file of flag defaults for no command is refused, and nothing runs."""
+        cfg = write_config(tmp_path, {"prepare": {"synthetic": True}, "epochs": 3})
+        out = tmp_path / "run"
+        assert run("--config", cfg, *command, str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: keys ['epochs'] name no command")
+        assert not out.exists()
+
+    def test_config_key_is_not_a_section_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"prepare": {"config": str(tmp_path / "other.json")}})
+        assert run("--config", cfg, "prepare", "--out", str(tmp_path / "o"), "--synthetic") == 1
+        assert capsys.readouterr().err.startswith("error: config key 'config'")
+
+    def test_config_file_that_is_not_json_is_an_error_line_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{'prepare': {}}")
+        assert run("--config", str(cfg), "prepare", "--out", str(tmp_path / "o"),
+                   "--synthetic") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read JSON file {cfg}")
 
     def test_config_section_not_an_object_is_an_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1191,12 +1291,18 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def epochs_config(tmp_path, teacher_epochs, epochs):
+    """A ``--config`` file giving batch's teacher and generator their epochs."""
+    return write_config(tmp_path, {"train-teacher": {"epochs": teacher_epochs},
+                                   "attack": {"epochs": epochs}})
+
+
 class TestBatch:
     def test_two_dataset_batch_produces_report(self, tmp_path, monkeypatch):
         write_two_power_datasets(tmp_path, monkeypatch)
         out_root = str(tmp_path / "runs")
-        assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
-                   "--datasets", "PowerA,PowerB", "--teacher-epochs", "30", "--epochs", "3") == 0
+        assert run("--config", epochs_config(tmp_path, 30, 3), "batch", "--out-root", out_root,
+                   "--box", "white", "--teacher", "fcn", "--datasets", "PowerA,PowerB") == 0
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
         datasets = {r["dataset"] for r in report["reports"]}
         assert datasets == {"PowerA", "PowerB"}
@@ -1221,8 +1327,8 @@ class TestBatch:
         assert run("train-teacher", "--out", single, "--teacher", "fcn", "--epochs", "1") == 1
         assert "error: non-finite loss" in capfd.readouterr().err
         out_root = str(tmp_path / "runs")
-        assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
-                   "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1",
+        assert run("--config", epochs_config(tmp_path, 5, 1), "batch", "--out-root", out_root,
+                   "--box", "white", "--teacher", "fcn", "--datasets", "PowerA,PowerB",
                    "--processes", "2") == 1
         assert "PowerB" in capfd.readouterr().err
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
@@ -1241,8 +1347,8 @@ class TestBatch:
         monkeypatch.setattr(models, "train_classifier", crash_on_power_a)
         write_two_power_datasets(tmp_path, monkeypatch)
         out_root = str(tmp_path / "runs")
-        assert run("batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
-                   "--datasets", "PowerA,PowerB", "--teacher-epochs", "5", "--epochs", "1") == 1
+        assert run("--config", epochs_config(tmp_path, 5, 1), "batch", "--out-root", out_root,
+                   "--box", "white", "--teacher", "fcn", "--datasets", "PowerA,PowerB") == 1
         err = capfd.readouterr().err
         assert "error: PowerA: disk on fire" in err
         report = json.load(open(os.path.join(out_root, "report", "report.json")))
@@ -1261,9 +1367,9 @@ class TestBatch:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
-            [sys.executable, "-c", KILLED_ON_POWER_B, "batch", "--out-root", out_root,
-             "--box", "white", "--teacher", "fcn", "--datasets", "PowerA,PowerB",
-             "--teacher-epochs", "5", "--epochs", "1", *processes],
+            [sys.executable, "-c", KILLED_ON_POWER_B, "--config", epochs_config(tmp_path, 5, 1),
+             "batch", "--out-root", out_root, "--box", "white", "--teacher", "fcn",
+             "--datasets", "PowerA,PowerB", *processes],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             start_new_session=True)
         try:
@@ -1286,6 +1392,69 @@ class TestBatch:
         assert run("batch", "--out-root", str(tmp_path / "runs"), "--box", "white",
                    "--teacher", "fcn", "--datasets", "Missing") == 1
         assert "Missing" in capfd.readouterr().err
+
+    def test_config_sections_set_the_stages(self, tmp_path, monkeypatch):
+        write_two_power_datasets(tmp_path, monkeypatch)
+        out_root = str(tmp_path / "runs")
+        cfg = write_config(tmp_path, {
+            "prepare": {"seed-split": 2}, "train-teacher": {"epochs": 2, "seed-teacher": 4},
+            "attack": {"alpha": 3.0, "epochs": 1}, "evaluate": {"criterion": "unlabeled"}})
+        assert run("--config", cfg, "batch", "--out-root", out_root, "--box", "white",
+                   "--teacher", "fcn", "--datasets", "PowerA") == 0
+        with open(os.path.join(out_root, "PowerA", "config.json"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        assert config["prepare"]["seed_split"] == 2
+        assert (config["teacher"]["epochs"], config["teacher"]["seed_teacher"]) == (2, 4)
+        assert (config["attack"]["alpha"], config["attack"]["epochs"]) == (3.0, 1)
+        assert config["reports"]["criterion"] == "unlabeled"
+        report = json.load(open(os.path.join(out_root, "report", "report.json")))
+        assert {r["criterion"] for r in report["reports"]} == {"unlabeled"}
+
+    def test_every_command_gets_the_config_file_and_only_per_dataset_flags(
+            self, tmp_path, monkeypatch):
+        import tsadv.cli as cli
+
+        started = []
+        monkeypatch.setattr(cli, "_run_batch_jobs",
+                            lambda jobs, processes: started.extend(jobs) or [0] * len(jobs))
+        monkeypatch.setattr(cli, "main", lambda argv: started.append(("report", [argv])) or 0)
+        cfg = write_config(tmp_path, {})
+        root = str(tmp_path / "runs")
+        assert run("--config", cfg, "batch", "--out-root", root, "--box", "black",
+                   "--teacher", "dtw1nn", "--datasets", "A,B") == 0
+        out = {name: os.path.join(root, name) for name in ("A", "B")}
+        assert started == [
+            *((name, [["--config", cfg, *argv, "--out", out[name]] for argv in (
+                ["prepare", "--dataset", name], ["train-teacher", "--teacher", "dtw1nn"],
+                ["distill", "--box", "black"],
+                ["attack", "--box", "black", "--teacher", "dtw1nn", "--beta-grid"],
+                ["evaluate"])]) for name in ("A", "B")),
+            ("report", [["--config", cfg, "report", "--out", os.path.join(root, "report"),
+                         "--runs", out["A"], out["B"]]])]
+
+    def test_batch_takes_only_the_flags_it_sets_per_dataset(self):
+        from tsadv.cli import build_parser
+
+        batch = build_parser()[1]["batch"]
+        assert [action.dest for action in batch._actions] == [
+            "help", "out_root", "box", "teacher", "datasets", "processes"]
+        assert batch.get_default("processes") == 1
+
+    @pytest.mark.parametrize("processes", [["--processes", "0"], ["--processes", "-2"],
+                                           "config section"],
+                             ids=["zero", "negative", "config-section"])
+    def test_processes_below_one_is_an_error_line(self, tmp_path, monkeypatch, capsys,
+                                                  processes):
+        write_two_power_datasets(tmp_path, monkeypatch)
+        config = []
+        if processes == "config section":
+            processes = []
+            config = ["--config", write_config(tmp_path, {"batch": {"processes": 0}})]
+        out_root = tmp_path / "runs"
+        assert run(*config, "batch", "--out-root", str(out_root), "--box", "white",
+                   "--teacher", "fcn", "--datasets", "PowerA", *processes) == 1
+        assert capsys.readouterr().err.startswith("error: --processes must be >= 1")
+        assert not out_root.exists()
 
 
 class TestFourVariantReport:

@@ -1,5 +1,7 @@
 import csv
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +124,22 @@ class TestReportValidationAndIO:
         back, prov = load_reports_json(path)
         assert back == reports
         assert prov == {"seed": 1}
+
+    @pytest.mark.parametrize("damage", ["extra field", "no reports key", "not JSON",
+                                        "not an object"])
+    def test_damaged_json_is_a_value_error_naming_it(self, damage, tmp_path):
+        path = tmp_path / "r.json"
+        save_reports_json([self.report()], path)
+        blob = json.loads(path.read_text())
+        if damage == "extra field":
+            blob["reports"][0]["seed"] = 1
+        elif damage == "no reports key":
+            del blob["reports"]
+        elif damage == "not an object":
+            blob = blob["reports"]
+        path.write_text("{'reports': []}" if damage == "not JSON" else json.dumps(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{path} is not a reports file")):
+            load_reports_json(path)
 
     def test_json_write_failing_midway_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -428,6 +429,21 @@ class TestModelFile:
         assert first.read_bytes() == second.read_bytes()
         assert back.state_hash() == net.state_hash()
         assert [layer.spec() for layer in back.layers] == [layer.spec() for layer in net.layers]
+
+    @pytest.mark.parametrize("damage", ["missing array", "truncated", "empty", "not a zip"])
+    def test_damaged_file_is_a_value_error_naming_it(self, damage, tmp_path):
+        path = tmp_path / "lenet5.npz"
+        save_model(build_lenet5_1d(cfg(input_length=20, architecture="lenet5")), path)
+        if damage == "missing array":
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files if name != "layer0.b"}
+            np.savez(path, **arrays)
+        else:
+            whole = path.read_bytes()
+            path.write_bytes({"truncated": whole[:len(whole) // 2], "empty": b"",
+                              "not a zip": b"epoch\tloss\n"}[damage])
+        with pytest.raises(ValueError, match=re.escape(f"cannot load model file {path}")):
+            load_model(path)
 
 
 class TestChunkedPasses:
