@@ -6,7 +6,11 @@ directory and swapped in whole once its manifest is written. The manifest
 carries the hash of the stage's resolved configuration and lists the stage's
 files; rerunning a stage with an unchanged configuration and all its files
 present is a no-op. Stages written before manifests listed their files rerun
-once. Flags override the ``--config`` file's section for the command, and
+once. Each configuration also maps every stage the stage read to that
+stage's config hash, under ``upstream``, and one rule reads it: a stage
+refuses a stage it reads, naming the command to rerun, when that stage, or
+any stage that stage recorded, is missing or now has another config hash.
+Flags override the ``--config`` file's section for the command, and
 the fully resolved configuration is echoed into the output directory.
 
 The module imports only :mod:`tsadv.config` and stdlib modules that an
@@ -78,6 +82,13 @@ _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": 
 
 
 def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
+    """The manifest of ``out/<stage>``, refused unless the stage is complete and current.
+
+    A stage is current when each stage its config's ``upstream`` records is
+    current itself and still has the config hash recorded there. Only
+    ``prepare`` reads no stage; any other manifest without ``upstream`` was
+    written before stages recorded what they read, and counts as stale.
+    """
     path = os.path.join(out, stage, "manifest.json")
     command = _STAGE_COMMANDS[stage]
     if not os.path.exists(path):
@@ -89,6 +100,20 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
             raise MissingArtifactError(
                 f"{needed_by} needs {os.path.join(out, stage, name)}, which the {stage} stage "
                 f"lists but lacks; rerun `tsadv {command}` first")
+    upstream = manifest["config"].get("upstream", {} if stage == "prepare" else None)
+    if not isinstance(upstream, dict):
+        raise MissingArtifactError(
+            f"{needed_by} needs the {stage} stage rebuilt, since {path} records no upstream "
+            f"stages; rerun `tsadv {command}` first")
+    # every recorded stage is checked before any is compared, so the error
+    # names the first command of the chain that needs to run again
+    current = {name: _load_manifest(out, name, needed_by)["config_hash"] for name in upstream
+               if os.path.exists(os.path.join(out, name, "manifest.json"))}
+    for name, used in upstream.items():
+        if current.get(name) != used:
+            raise MissingArtifactError(
+                f"{needed_by} needs the {stage} stage built from the current {name} stage; "
+                f"rerun `tsadv {command}` first")
     return manifest
 
 
@@ -237,7 +262,7 @@ def _load_split(out: str, which: str, needed_by: str):
 def cmd_train_teacher(args) -> int:
     out = args.out
     prep = _load_manifest(out, "prepare", "train-teacher")
-    cfg = {"teacher": args.teacher, "prepare": prep["config_hash"]}
+    cfg = {"teacher": args.teacher, "upstream": {"prepare": prep["config_hash"]}}
     if args.teacher == "fcn":  # the 1-NN DTW teacher reads none of the training flags
         cfg.update(seed_teacher=args.seed_teacher, epochs=args.epochs, batch_size=args.batch_size,
                    lr=args.lr, early_stop_acc=args.early_stop_acc)
@@ -279,14 +304,15 @@ def _load_teacher(out: str, needed_by: str):
 
 def cmd_distill(args) -> int:
     out = args.out
-    teacher_manifest = _load_manifest(out, "teacher", "distill")
-    if attacks_teacher(args.box, teacher_manifest["teacher_kind"]):
-        raise ValueError(f"a {args.box}-box attack on the {teacher_manifest['teacher_kind']} "
-                         f"teacher differentiates through the teacher itself and reads no student")
+    upstream = {stage: _load_manifest(out, stage, "distill") for stage in ("prepare", "teacher")}
+    teacher_kind = upstream["teacher"]["teacher_kind"]
+    if attacks_teacher(args.box, teacher_kind):
+        raise ValueError(f"a {args.box}-box attack on the {teacher_kind} teacher differentiates "
+                         f"through the teacher itself and reads no student")
     gamma = DISTILL_GAMMA[args.box] if args.gamma is None else args.gamma
     cfg = {"box": args.box, "gamma": gamma, "tau": args.tau, "epochs": args.epochs,
            "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr,
-           "teacher": teacher_manifest["config_hash"]}
+           "upstream": {stage: m["config_hash"] for stage, m in upstream.items()}}
 
     def write(stage: str) -> dict:
         import numpy as np
@@ -318,40 +344,6 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _student_manifest(out: str, box: str, teacher_kind: str, teacher_hash: str,
-                      needed_by: str, attack: dict | None = None) -> dict | None:
-    """Manifest of the distilled student an attack of this kind goes after, if any.
-
-    This is the numpy-free check `attack` and `evaluate` make before they load
-    a network. The student must have been distilled from the teacher stage
-    whose config hash is ``teacher_hash``, and a black-box attack accepts only
-    a student distilled from hard labels. ``attack``, the config of an attack
-    stage, must have been run against that teacher stage and this student.
-    """
-    student = None
-    if not attacks_teacher(box, teacher_kind):
-        student = _load_manifest(out, "student", needed_by)
-        if student["config"]["teacher"] != teacher_hash:
-            raise MissingArtifactError(
-                f"{needed_by} needs a student distilled from the current teacher stage; "
-                f"rerun `tsadv distill` first")
-        if box == "black" and student["mode"] != "hard":
-            raise MissingArtifactError(
-                f"black-box {needed_by} needs a student distilled from hard labels, but the "
-                f"student stage used {student['mode']} targets; rerun `tsadv distill --box black` "
-                f"first")
-    if attack is not None:
-        for stage, used, current in (
-                ("teacher", attack.get("teacher_hash"), teacher_hash),
-                ("student", attack.get("student_hash"),
-                 None if student is None else student["state_hash"])):
-            if used != current:
-                raise MissingArtifactError(
-                    f"{needed_by} needs an attack stage run against the current {stage} stage; "
-                    f"rerun `tsadv attack` first")
-    return student
-
-
 def cmd_attack(args) -> int:
     out = args.out
     teacher_manifest = _load_manifest(out, "teacher", "attack")
@@ -359,9 +351,15 @@ def cmd_attack(args) -> int:
         raise MissingArtifactError(
             f"teacher stage trained {teacher_manifest['teacher_kind']!r}; rerun train-teacher "
             f"for {args.teacher!r}")
+    upstream = {"prepare": _load_manifest(out, "prepare", "attack"), "teacher": teacher_manifest}
+    if not attacks_teacher(args.box, args.teacher):
+        upstream["student"] = _load_manifest(out, "student", "attack")
+    student = upstream.get("student")
+    if args.box == "black" and student is not None and student["mode"] != "hard":
+        raise MissingArtifactError(
+            f"black-box attack needs a student distilled from hard labels, but the student "
+            f"stage used {student['mode']} targets; rerun `tsadv distill --box black` first")
     betas = list(BETA_GRID) if args.beta_grid else [args.beta]
-    student = _student_manifest(out, args.box, args.teacher, teacher_manifest["config_hash"],
-                                "attack")
     # a student distilled from hard labels kept the teacher's clean d_eval
     # labels; soft targets are not reused, since argmax(soft_1nn) may break a
     # distance tie differently from nn1_classify
@@ -370,8 +368,7 @@ def cmd_attack(args) -> int:
     cfg = {"box": args.box, "teacher": args.teacher, "alpha": args.alpha, "betas": betas,
            "target_class": args.target_class, "seed_gatn": args.seed_gatn,
            "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
-           "teacher_hash": teacher_manifest["config_hash"],
-           "student_hash": student["state_hash"] if student else None,
+           "upstream": {stage: m["config_hash"] for stage, m in upstream.items()},
            "clean_labels_sha256": _file_sha256(labels_path) if reuse_labels else None}
 
     def write(stage: str) -> dict:
@@ -423,13 +420,7 @@ def cmd_evaluate(args) -> int:
     out = args.out
     attack_manifest = _load_manifest(out, "attack", "evaluate")
     acfg = attack_manifest["config"]
-    teacher_hash = _load_manifest(out, "teacher", "evaluate")["config_hash"]
-    student = _student_manifest(out, acfg["box"], acfg["teacher"], teacher_hash, "evaluate",
-                                attack=acfg)
-    cfg = {"attack": attack_manifest["config_hash"],
-           "gatn_state_hashes": attack_manifest["gatn_state_hashes"],
-           "teacher_hash": teacher_hash,
-           "student_hash": student["state_hash"] if student else None,
+    cfg = {"upstream": {**acfg["upstream"], "attack": attack_manifest["config_hash"]},
            "criterion": args.criterion, "all_betas": args.all_betas}
 
     def write(stage: str) -> dict:
@@ -444,16 +435,12 @@ def cmd_evaluate(args) -> int:
 
         _keep_freed_memory()
         outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
-        if not os.path.exists(outputs_path):
-            raise MissingArtifactError(
-                f"evaluate needs {outputs_path}, which this attack stage does not have; "
-                f"rerun `tsadv attack` first")
         base = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
                             alpha=acfg["alpha"], target_class=acfg["target_class"],
                             seed=acfg["seed_gatn"])
         teacher = _load_teacher(out, "evaluate")
-        surrogate = select_surrogate(base, teacher, None if student is None else load_model(
-            os.path.join(out, "student", "student.npz")))
+        surrogate = select_surrogate(base, teacher, load_model(
+            os.path.join(out, "student", "student.npz")) if "student" in acfg["upstream"] else None)
         d_eval = _load_split(out, "d_eval", "evaluate")
         d_test = _load_split(out, "d_test", "evaluate")
         with np.load(outputs_path) as saved:

@@ -311,7 +311,8 @@ def make_pre_d_eval_outputs_attack_stage(out):
     """Turn out/attack into an attack stage as written before d_eval_outputs.npz existed.
 
     Such a stage has no d_eval_outputs.npz and lists none, and its
-    configuration has no clean_labels_sha256 entry.
+    configuration has no clean_labels_sha256 entry and, older still than
+    upstream records, no upstream entry.
     """
     from tsadv.config import config_hash
 
@@ -319,6 +320,7 @@ def make_pre_d_eval_outputs_attack_stage(out):
     manifest = read_manifest(out, "attack")
     manifest["files"].remove("d_eval_outputs.npz")
     del manifest["config"]["clean_labels_sha256"]
+    del manifest["config"]["upstream"]
     manifest["config_hash"] = config_hash(manifest["config"])
     with open(os.path.join(out, "attack", "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
@@ -426,7 +428,7 @@ class TestStaleAttackStage:
     def test_attack_with_a_student_the_route_has_not(self, white_fcn_run, tmp_path, capsys):
         out = copy_run(white_fcn_run, tmp_path)
         manifest = read_manifest(out, "attack")
-        manifest["config"]["student_hash"] = "0" * 16
+        manifest["config"]["upstream"]["student"] = "0" * 16
         with open(os.path.join(out, "attack", "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
         assert "current student stage" in self.refused(out, capsys)
@@ -434,6 +436,71 @@ class TestStaleAttackStage:
     def test_manifest_records_the_route(self, white_fcn_run, black_dtw_run):
         assert read_manifest(white_fcn_run, "attack")["surrogate_is_teacher"] is True
         assert read_manifest(black_dtw_run, "attack")["surrogate_is_teacher"] is False
+
+
+class TestUpstreamRule:
+    """A stage records the config hash of each stage it read, and is refused once one moved."""
+
+    def test_new_split_refuses_every_stage_built_from_the_old_one(self, tmp_path, capsys):
+        from tsadv.data import Dataset, load_ucr, remap_labels
+        from tsadv.teachers import DTW1NNTeacher
+
+        train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
+        write_power_profile_archive(train, test, n_train=30, n_test=120, length=24)
+        out = str(tmp_path / "run")
+        prepare = ("prepare", "--out", out, "--train-file", str(train), "--test-file", str(test))
+        stages = [("train-teacher", "--out", out, "--teacher", "dtw1nn"),
+                  ("distill", "--out", out, "--box", "black", "--epochs", "1"),
+                  ("attack", "--out", out, "--box", "black", "--teacher", "dtw1nn",
+                   "--epochs", "1"),
+                  ("evaluate", "--out", out)]
+        for argv in (prepare, *stages):
+            assert run(*argv) == 0
+        assert run(*prepare, "--seed-split", "2") == 0
+        capsys.readouterr()
+        for argv in stages[1:]:
+            assert run(*argv) == 1, argv
+            captured = capsys.readouterr()
+            assert "up to date" not in captured.out
+            assert captured.err.startswith("error:"), argv
+            assert "rerun `tsadv train-teacher`" in captured.err, argv
+        for argv in stages:
+            assert run(*argv) == 0
+
+        def split(which):
+            labels, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
+            return Dataset("Power", rows, *remap_labels(labels, "Power"))
+
+        teacher = DTW1NNTeacher.from_dataset(split("teacher_train"))
+        with np.load(os.path.join(out, "attack", "d_eval_outputs.npz")) as saved:
+            assert np.array_equal(saved["clean_labels"],
+                                  teacher.predict_labels(split("d_eval").values))
+
+    @pytest.mark.parametrize("stage, reader, command", [
+        ("teacher", ("distill", "--box", "black", "--epochs", "1"),
+         ("train-teacher", "--teacher", "dtw1nn")),
+        ("attack", ("evaluate",), BLACK_DTW_ATTACK),
+    ], ids=["teacher", "attack"])
+    def test_stage_without_upstream_is_stale(self, black_dtw_run, tmp_path, capsys, stage,
+                                             reader, command):
+        """A manifest written before stages recorded their upstream stages is refused,
+        and its own command rebuilds it."""
+        from tsadv.config import config_hash
+
+        out = copy_run(black_dtw_run, tmp_path)
+        manifest = read_manifest(out, stage)
+        manifest["config"].pop("upstream", None)
+        manifest["config_hash"] = config_hash(manifest["config"])
+        with open(os.path.join(out, stage, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert run(*reader, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"rerun `tsadv {command[0]}`" in err
+        assert run(*command, "--out", out) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert run(*reader, "--out", out) == 0
+        assert "up to date" in capsys.readouterr().out
 
 
 class TestMissingListedFile:
@@ -594,7 +661,8 @@ class TestBlackBoxProvenance:
 
 
     def test_black_box_stages_reject_soft_student(self, tmp_path, capsys):
-        """attack and evaluate --box black refuse a student distilled from probabilities."""
+        """attack --box black refuses a student distilled from probabilities, and evaluate an
+        attack stage run against a student other than the current one."""
         out = str(tmp_path / "bb")
         attack = ("attack", "--out", out, "--box", "black", "--teacher", "dtw1nn",
                   "--beta", "1e-3", "--epochs", "1")
@@ -609,8 +677,9 @@ class TestBlackBoxProvenance:
         assert run(*attack) == 0
         assert run("distill", "--out", out, "--box", "white", "--epochs", "1") == 0
         capsys.readouterr()
+        # that attack ran against the student the white-box distill replaced
         assert run("evaluate", "--out", out) == 1
-        assert "distill --box black" in capsys.readouterr().err
+        assert "rerun `tsadv attack`" in capsys.readouterr().err
 
 
 class TestInvalidTrainingFlags:
@@ -1066,7 +1135,8 @@ class TestEntryPoint:
 
         Records (exit code, stdout, stderr, imported modules) for a bare
         interpreter, importing the CLI, every up-to-date stage, a rebuilt dtw1nn
-        teacher stage and evaluate's refusal of a stale attack stage, plus the
+        teacher stage, evaluate's refusal of a stale attack stage and distill's
+        refusal of a teacher stage built from an older prepare stage, plus the
         rebuilt teacher's manifest.
         """
         out = copy_run(black_dtw_run, tmp_path_factory.mktemp("start_up"))
@@ -1083,6 +1153,9 @@ class TestEntryPoint:
                    "--seed-student", "7") == 0
         runs["stale attack refusal"] = fresh_interpreter("-m", "tsadv.cli", "evaluate",
                                                          "--out", out)
+        assert run("prepare", "--out", out, "--synthetic", "--seed-split", "5") == 0
+        runs["stale teacher refusal"] = fresh_interpreter(
+            "-m", "tsadv.cli", "distill", "--out", out, "--box", "black", "--epochs", "1")
         return runs, teacher_manifest
 
     def test_import_leaves_numpy_out(self, start_up):
@@ -1183,10 +1256,17 @@ class TestEntryPoint:
         assert err.startswith("error:") and "rerun `tsadv attack`" in err
         assert not imports_numpy(imported) and "ctypes" not in imported
 
+    def test_stale_teacher_stage_is_an_error_line(self, start_up):
+        code, stdout, err, imported = start_up[0]["stale teacher refusal"]
+        assert code == 1 and "up to date" not in stdout
+        assert err.startswith("error:") and "rerun `tsadv train-teacher`" in err
+        assert not imports_numpy(imported) and "ctypes" not in imported
+
     def test_start_up_path_loads_no_stage_only_module(self, start_up):
-        """Importing the CLI, every up-to-date stage, the dtw1nn teacher stage and
-        evaluate's refusal of a stale attack stage load none of STAGE_ONLY_MODULES
-        beyond what a bare interpreter has loaded already."""
+        """Importing the CLI, every up-to-date stage, the dtw1nn teacher stage,
+        evaluate's refusal of a stale attack stage and distill's refusal of a
+        stale teacher stage load none of STAGE_ONLY_MODULES beyond what a bare
+        interpreter has loaded already."""
         runs, teacher_manifest = start_up
         bare = runs["bare"][3]
         loaded = {}
@@ -1195,6 +1275,9 @@ class TestEntryPoint:
                 continue
             if name == "stale attack refusal":
                 assert code == 1 and err.startswith("error:") and "rerun `tsadv attack`" in err
+            elif name == "stale teacher refusal":
+                assert code == 1 and err.startswith("error:")
+                assert "rerun `tsadv train-teacher`" in err
             elif name == "dtw1nn train-teacher":
                 assert code == 0 and "up to date" not in stdout
             else:
