@@ -79,6 +79,25 @@ def _read_json(path: str):
 
 _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": "distill",
                    "attack": "attack", "reports": "evaluate"}
+_MANIFEST_FIELDS = {"config_hash": str, "config": dict, "files": list}
+
+
+def _read_manifest(path: str) -> dict:
+    """The manifest at ``path``; a ValueError naming the file unless it holds _MANIFEST_FIELDS."""
+    manifest = _read_json(path)
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), t) for k, t in _MANIFEST_FIELDS.items())):
+        raise ValueError(f"{path} is not a stage manifest, a JSON object holding "
+                         f"{', '.join(_MANIFEST_FIELDS)}")
+    return manifest
+
+
+def _committed_manifest(out: str, stage: str) -> dict | None:
+    """The manifest of ``out/<stage>``, or None if there is none or it is damaged."""
+    try:
+        return _read_manifest(os.path.join(out, stage, "manifest.json"))
+    except ValueError:
+        return None
 
 
 def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
@@ -94,8 +113,11 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
     if not os.path.exists(path):
         raise MissingArtifactError(
             f"{needed_by} needs the {stage} stage; run `tsadv {command}` first (missing {path})")
-    manifest = _read_json(path)
-    for name in manifest.get("files", []):
+    try:
+        manifest = _read_manifest(path)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; rerun `tsadv {command}` first") from None
+    for name in manifest["files"]:
         if not os.path.exists(os.path.join(out, stage, name)):
             raise MissingArtifactError(
                 f"{needed_by} needs {os.path.join(out, stage, name)}, which the {stage} stage "
@@ -126,13 +148,11 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
     """
     cfg_hash = config_hash(cfg)
     final = os.path.join(out, stage)
-    manifest_path = os.path.join(final, "manifest.json")
-    if os.path.exists(manifest_path):
-        manifest = _read_json(manifest_path)
-        if (manifest.get("config_hash") == cfg_hash and "files" in manifest
-                and all(os.path.exists(os.path.join(final, f)) for f in manifest["files"])):
-            print(f"[{stage}] up to date (config {cfg_hash}), skipping")
-            return
+    manifest = _committed_manifest(out, stage)  # a damaged stage is rebuilt
+    if (manifest is not None and manifest["config_hash"] == cfg_hash
+            and all(os.path.exists(os.path.join(final, f)) for f in manifest["files"])):
+        print(f"[{stage}] up to date (config {cfg_hash}), skipping")
+        return
     partial = os.path.join(out, f".{stage}.partial")
     shutil.rmtree(partial, ignore_errors=True)
     os.makedirs(partial)
@@ -145,13 +165,25 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
         os.rename(partial, final)
     finally:
         shutil.rmtree(partial, ignore_errors=True)
-    # rebuilt from the committed manifests, so a damaged echo never fails a later stage
-    echoed = {}
-    for name in _STAGE_COMMANDS:
-        path = os.path.join(out, name, "manifest.json")
-        if os.path.exists(path):
-            echoed[name] = _read_json(path)["config"]
-    _write_json(os.path.join(out, "config.json"), echoed)
+    # rebuilt from the committed manifests, so a damaged echo never fails a later
+    # stage; a damaged stage is left out, since this stage has committed already
+    manifests = {name: _committed_manifest(out, name) for name in _STAGE_COMMANDS}
+    _write_json(os.path.join(out, "config.json"),
+                {name: m["config"] for name, m in manifests.items() if m is not None})
+
+
+def _load_arrays(out: str, stage: str, name: str, *keys: str) -> list:
+    """The arrays ``keys`` of ``out/<stage>/<name>``; a damaged file is a ValueError naming it."""
+    import numpy as np
+    from .nn import DAMAGED_FILE_ERRORS
+
+    path = os.path.join(out, stage, name)
+    try:
+        with np.load(path) as saved:
+            return [saved[key] for key in keys]
+    except DAMAGED_FILE_ERRORS as exc:
+        raise ValueError(f"cannot load {path}: {exc!r}; rerun `tsadv {_STAGE_COMMANDS[stage]}` "
+                         f"first") from None
 
 
 def _keep_freed_memory() -> None:
@@ -385,10 +417,8 @@ def cmd_attack(args) -> int:
         surrogate = select_surrogate(base, teacher, None if student is None else load_model(
             os.path.join(out, "student", "student.npz")))
         d_eval = _load_split(out, "d_eval", "attack")
-        pred_clean = None
-        if reuse_labels:
-            with np.load(labels_path) as saved:
-                pred_clean = saved["hard_labels"]
+        pred_clean = (_load_arrays(out, "student", "teacher_outputs.npz", "hard_labels")[0]
+                      if reuse_labels else None)
         runs, reports, best, outputs = beta_grid_search(
             base, d_eval, teacher, surrogate, betas=tuple(betas), pred_clean=pred_clean)
         gatn_files = [f"gatn_beta_{beta:.0e}.npz" for beta in betas]
@@ -426,7 +456,6 @@ def cmd_evaluate(args) -> int:
     def write(stage: str) -> dict:
         from dataclasses import replace
 
-        import numpy as np
         from .attack import (AttackConfig, AttackRun, clean_labels, select_surrogate,
                              surrogate_signal)
         from .evaluate import count_adversaries, generalization_eval
@@ -434,7 +463,6 @@ def cmd_evaluate(args) -> int:
         from .reports import save_reports_csv, save_reports_json
 
         _keep_freed_memory()
-        outputs_path = os.path.join(out, "attack", D_EVAL_OUTPUTS)
         base = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
                             alpha=acfg["alpha"], target_class=acfg["target_class"],
                             seed=acfg["seed_gatn"])
@@ -443,9 +471,8 @@ def cmd_evaluate(args) -> int:
             os.path.join(out, "student", "student.npz")) if "student" in acfg["upstream"] else None)
         d_eval = _load_split(out, "d_eval", "evaluate")
         d_test = _load_split(out, "d_test", "evaluate")
-        with np.load(outputs_path) as saved:
-            eval_clean, eval_x_hat, eval_adv = (saved["clean_labels"], saved["x_hat"],
-                                                saved["adv_labels"])
+        eval_clean, eval_x_hat, eval_adv = _load_arrays(out, "attack", D_EVAL_OUTPUTS,
+                                                        "clean_labels", "x_hat", "adv_labels")
         betas = attack_manifest["betas"]
         indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
         runs = [AttackRun(replace(base, beta=betas[i]), surrogate, load_model(

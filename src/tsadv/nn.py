@@ -400,6 +400,10 @@ def save_model(model: Network, path: str | os.PathLike) -> None:
     np.savez(path, __meta__=meta_bytes, **arrays)
 
 
+# what reading a damaged ``.npz`` file raises: truncated, not a zip, or lacking an array
+DAMAGED_FILE_ERRORS = (EOFError, KeyError, ValueError, zipfile.BadZipFile)
+
+
 def load_model(path: str | os.PathLike) -> Network:
     try:  # a damaged file is a ValueError naming it
         with np.load(path) as data:
@@ -413,7 +417,7 @@ def load_model(path: str | os.PathLike) -> Network:
                 layers.append(layer)
         model = Network(layers, rng_seed=meta["rng_seed"], architecture=meta["architecture"])
         model.training_log = meta["training_log"]
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except DAMAGED_FILE_ERRORS as exc:
         raise ValueError(f"cannot load model file {path}: {exc!r}") from None
     return model
 

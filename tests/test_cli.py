@@ -527,7 +527,7 @@ class TestMissingListedFile:
 
 
 class TestDamagedFiles:
-    """A damaged model, reports or manifest file ends in an error line naming it."""
+    """A damaged model, reports, manifest or saved-outputs file ends in an error line naming it."""
 
     @pytest.mark.parametrize("damage", ["missing array", "truncated"])
     def test_evaluate_with_a_damaged_student(self, black_dtw_run, tmp_path, capsys, damage):
@@ -573,6 +573,60 @@ class TestDamagedFiles:
         capsys.readouterr()
         assert run("evaluate", "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read JSON file {path}")
+
+    def test_upstream_manifest_without_its_fields(self, black_dtw_run, tmp_path, capsys):
+        out = copy_run(black_dtw_run, tmp_path)
+        path = os.path.join(out, "teacher", "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{}")
+        capsys.readouterr()
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a stage manifest")
+        assert "rerun `tsadv train-teacher`" in err
+
+    def test_own_manifest_not_an_object_is_rebuilt(self, black_dtw_run, tmp_path, capsys):
+        """A stage's own command rebuilds it, with the same config hash, so the
+        stages built from it stay current."""
+        out = copy_run(black_dtw_run, tmp_path)
+        before = read_manifest(out, "teacher")
+        with open(os.path.join(out, "teacher", "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write("[]")
+        capsys.readouterr()
+        assert run("train-teacher", "--out", out, "--teacher", "dtw1nn") == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert read_manifest(out, "teacher") == before
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
+        assert "[student] up to date" in capsys.readouterr().out
+
+    def test_echo_leaves_out_a_damaged_manifest(self, black_dtw_run, tmp_path):
+        out = copy_run(black_dtw_run, tmp_path)
+        with open(os.path.join(out, "reports", "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write("{}")
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1",
+                   "--seed-student", "3") == 0
+        with open(os.path.join(out, "config.json"), encoding="utf-8") as fh:
+            echoed = json.load(fh)
+        assert echoed == {stage: read_manifest(out, stage)["config"]
+                          for stage in ("prepare", "teacher", "student", "attack")}
+        assert echoed["student"]["seed_student"] == 3
+
+    @pytest.mark.parametrize("stage, name, reader, command", [
+        ("student", "teacher_outputs.npz", BLACK_DTW_ATTACK, "distill"),
+        ("attack", "d_eval_outputs.npz", ("evaluate",), "attack"),
+    ], ids=["teacher_outputs", "d_eval_outputs"])
+    def test_truncated_saved_outputs(self, black_dtw_run, tmp_path, capsys, stage, name, reader,
+                                     command):
+        out = copy_run(black_dtw_run, tmp_path)
+        shutil.rmtree(os.path.join(out, "reports"))
+        path = os.path.join(out, stage, name)
+        with open(path, "r+b") as fh:
+            fh.truncate(100)
+        capsys.readouterr()
+        assert run(*reader, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}")
+        assert f"rerun `tsadv {command}`" in err
 
 
 class TestErrors:
