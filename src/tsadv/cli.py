@@ -80,22 +80,28 @@ def _read_json(path: str):
 _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": "distill",
                    "attack": "attack", "reports": "evaluate"}
 _MANIFEST_FIELDS = {"config_hash": str, "config": dict, "files": list}
+# the fields of a stage's own that the stages reading it index
+_STAGE_FIELDS = {"prepare": {"label_map": dict}, "teacher": {"teacher_kind": str},
+                 "student": {"mode": str},
+                 "attack": {"betas": list, "best_index": int, "gatn_files": list}}
 
 
-def _read_manifest(path: str) -> dict:
-    """The manifest at ``path``; a ValueError naming the file unless it holds _MANIFEST_FIELDS."""
+def _read_manifest(path: str, stage: str) -> dict:
+    """The manifest at ``path``; a ValueError naming the file unless it holds
+    _MANIFEST_FIELDS and the stage's _STAGE_FIELDS."""
     manifest = _read_json(path)
+    fields = {**_MANIFEST_FIELDS, **_STAGE_FIELDS.get(stage, {})}
     if not (isinstance(manifest, dict)
-            and all(isinstance(manifest.get(k), t) for k, t in _MANIFEST_FIELDS.items())):
+            and all(isinstance(manifest.get(k), t) for k, t in fields.items())):
         raise ValueError(f"{path} is not a stage manifest, a JSON object holding "
-                         f"{', '.join(_MANIFEST_FIELDS)}")
+                         f"{', '.join(fields)}")
     return manifest
 
 
 def _committed_manifest(out: str, stage: str) -> dict | None:
     """The manifest of ``out/<stage>``, or None if there is none or it is damaged."""
     try:
-        return _read_manifest(os.path.join(out, stage, "manifest.json"))
+        return _read_manifest(os.path.join(out, stage, "manifest.json"), stage)
     except ValueError:
         return None
 
@@ -114,7 +120,7 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
         raise MissingArtifactError(
             f"{needed_by} needs the {stage} stage; run `tsadv {command}` first (missing {path})")
     try:
-        manifest = _read_manifest(path)
+        manifest = _read_manifest(path, stage)
     except ValueError as exc:
         raise ValueError(f"{exc}; rerun `tsadv {command}` first") from None
     for name in manifest["files"]:
@@ -239,11 +245,13 @@ def cmd_prepare(args) -> int:
         # the files' bytes too: data rewritten in place must not look current
         files = [{"path": os.path.abspath(path), "sha256": _file_sha256(path)}
                  for path in (train_file, test_file)]
+    # split_format: splits written as text before it was hashed would look current
     cfg = {"dataset": dataset_name, "seed_split": args.seed_split, "znorm": args.znorm,
-           "synthetic": args.synthetic, "files": files}
+           "synthetic": args.synthetic, "files": files, "split_format": "npz"}
 
     def write(stage: str) -> dict:
-        from .data import load_ucr, preprocess_dataset, save_ucr, stratified_split
+        import numpy as np
+        from .data import load_ucr, preprocess_dataset, stratified_split
         from .synthetic import make_bump_dataset
 
         if args.synthetic:
@@ -263,9 +271,9 @@ def cmd_prepare(args) -> int:
                                  f" differ from test file {test_file} labels "
                                  f"{sorted(pool.label_map)}")
         d_eval, d_test = stratified_split(pool, seed=args.seed_split)
-        save_ucr(teacher_train, os.path.join(stage, "teacher_train.tsv"))
-        save_ucr(d_eval, os.path.join(stage, "d_eval.tsv"))
-        save_ucr(d_test, os.path.join(stage, "d_test.tsv"))
+        for which, split in (("teacher_train", teacher_train), ("d_eval", d_eval),
+                             ("d_test", d_test)):
+            np.savez(os.path.join(stage, f"{which}.npz"), values=split.values, labels=split.labels)
         print(f"[prepare] {dataset_name}: train={len(teacher_train)} "
               f"d_eval={len(d_eval)} d_test={len(d_test)}")
         return {
@@ -283,12 +291,14 @@ def cmd_prepare(args) -> int:
 
 
 def _load_split(out: str, which: str, needed_by: str):
-    from .data import Dataset, load_ucr, remap_labels
+    """The ``Dataset`` of one split: the arrays prepare wrote and its manifest's ``label_map``."""
+    from .data import Dataset
 
+    prep = _load_manifest(out, "prepare", needed_by)
+    values, labels = _load_arrays(out, "prepare", f"{which}.npz", "values", "labels")
     # file basenames are stage-local; reports must carry the dataset's name
-    name = _load_manifest(out, "prepare", needed_by)["config"]["dataset"]
-    labels, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
-    return Dataset(name, rows, *remap_labels(labels, name))
+    return Dataset(prep["config"]["dataset"], values, labels,
+                   {int(k): v for k, v in prep["label_map"].items()})
 
 
 def cmd_train_teacher(args) -> int:
@@ -303,7 +313,7 @@ def cmd_train_teacher(args) -> int:
         if args.teacher != "fcn":
             print(f"[train-teacher] {args.teacher} ready")
             # the 1-NN DTW teacher *is* its reference set
-            return {"teacher_kind": args.teacher, "reference": "prepare/teacher_train.tsv"}
+            return {"teacher_kind": args.teacher, "reference": "prepare/teacher_train.npz"}
         from .models import ArchitectureConfig, TrainConfig, build_fcn, train_classifier
         from .nn import save_model
 

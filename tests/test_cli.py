@@ -60,6 +60,19 @@ def read_manifest(out, stage):
         return json.load(fh)
 
 
+SPLITS = ("teacher_train", "d_eval", "d_test")
+
+
+def prepared_split(out, which):
+    """The ``values`` and ``labels`` arrays of one split that prepare wrote."""
+    with np.load(os.path.join(out, "prepare", f"{which}.npz")) as saved:
+        return saved["values"], saved["labels"]
+
+
+def prepared_label_map(out):
+    return {int(k): v for k, v in read_manifest(out, "prepare")["label_map"].items()}
+
+
 def write_config(tmp_path, sections):
     """A ``--config`` file holding ``sections``, one per command; returns its path."""
     path = tmp_path / "cfg.json"
@@ -152,7 +165,7 @@ def recounted_reports(out, criterion, all_betas):
     label is queried from the teacher.
     """
     from tsadv.attack import AttackConfig, AttackRun, generate, surrogate_signal
-    from tsadv.data import Dataset, load_ucr, remap_labels
+    from tsadv.data import Dataset
     from tsadv.evaluate import count_adversaries_labeled, count_adversaries_unlabeled
     from tsadv.nn import load_model
     from tsadv.teachers import DTW1NNTeacher, FCNTeacher
@@ -160,8 +173,7 @@ def recounted_reports(out, criterion, all_betas):
     name = read_manifest(out, "prepare")["config"]["dataset"]
 
     def split(which):
-        labels, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
-        return Dataset(name, rows, *remap_labels(labels, name))
+        return Dataset(name, *prepared_split(out, which), prepared_label_map(out))
 
     attack = read_manifest(out, "attack")
     acfg = attack["config"]
@@ -243,13 +255,12 @@ class TestEvaluateTeacherCalls:
 
 def fcn_teacher_labels(out, which):
     """The FCN teacher's labels of one prepared split, by a query of its own."""
-    from tsadv.data import load_ucr
     from tsadv.nn import load_model
     from tsadv.teachers import FCNTeacher
 
     teacher = FCNTeacher(load_model(os.path.join(out, "teacher", "fcn.npz")))
-    _, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
-    return teacher.predict_labels(np.array(rows))
+    values, _ = prepared_split(out, which)
+    return teacher.predict_labels(values)
 
 
 class TestWhiteFcnCleanLabels:
@@ -442,7 +453,7 @@ class TestUpstreamRule:
     """A stage records the config hash of each stage it read, and is refused once one moved."""
 
     def test_new_split_refuses_every_stage_built_from_the_old_one(self, tmp_path, capsys):
-        from tsadv.data import Dataset, load_ucr, remap_labels
+        from tsadv.data import Dataset
         from tsadv.teachers import DTW1NNTeacher
 
         train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
@@ -468,13 +479,45 @@ class TestUpstreamRule:
             assert run(*argv) == 0
 
         def split(which):
-            labels, rows = load_ucr(os.path.join(out, "prepare", f"{which}.tsv"))
-            return Dataset("Power", rows, *remap_labels(labels, "Power"))
+            return Dataset("Power", *prepared_split(out, which), prepared_label_map(out))
 
         teacher = DTW1NNTeacher.from_dataset(split("teacher_train"))
         with np.load(os.path.join(out, "attack", "d_eval_outputs.npz")) as saved:
             assert np.array_equal(saved["clean_labels"],
                                   teacher.predict_labels(split("d_eval").values))
+
+    def test_text_splits_rerun_prepare(self, tmp_path, capsys):
+        """A prepare stage whose config has no split format wrote its splits as text:
+        prepare rebuilds it, and a stage built from it names the next command, not
+        a missing .npz file."""
+        from tsadv.config import config_hash
+        from tsadv.data import Dataset, save_ucr
+
+        out = str(tmp_path / "run")
+        prepare = ("prepare", "--out", out, "--synthetic")
+        assert run(*prepare) == 0
+        manifest = read_manifest(out, "prepare")
+        for which in SPLITS:  # the layout of a stage written before the .npz splits
+            path = os.path.join(out, "prepare", which)
+            save_ucr(Dataset("bumps", *prepared_split(out, which), prepared_label_map(out)),
+                     f"{path}.tsv")
+            os.remove(f"{path}.npz")
+        del manifest["config"]["split_format"]
+        manifest["config_hash"] = config_hash(manifest["config"])
+        manifest["files"] = [f"{which}.tsv" for which in sorted(SPLITS)]
+        with open(os.path.join(out, "prepare", "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        teacher = ("train-teacher", "--out", out, "--teacher", "dtw1nn")
+        distill = ("distill", "--out", out, "--box", "black", "--epochs", "1")
+        assert run(*teacher) == 0
+        capsys.readouterr()
+        assert run(*prepare) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert read_manifest(out, "prepare")["files"] == [f"{w}.npz" for w in sorted(SPLITS)]
+        assert run(*distill) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rerun `tsadv train-teacher`" in err
+        assert run(*teacher) == 0 and run(*distill) == 0
 
     @pytest.mark.parametrize("stage, reader, command", [
         ("teacher", ("distill", "--box", "black", "--epochs", "1"),
@@ -585,6 +628,35 @@ class TestDamagedFiles:
         assert err.startswith(f"error: {path} is not a stage manifest")
         assert "rerun `tsadv train-teacher`" in err
 
+    @pytest.mark.parametrize("stage, field, reader, command", [
+        ("prepare", "label_map", ("distill", "--box", "black", "--epochs", "1"),
+         ("prepare", "--synthetic")),
+        ("teacher", "teacher_kind", ("distill", "--box", "black", "--epochs", "1"),
+         ("train-teacher", "--teacher", "dtw1nn")),
+        ("student", "mode", BLACK_DTW_ATTACK, ("distill", "--box", "black", "--epochs", "1")),
+        ("attack", "betas", ("evaluate",), BLACK_DTW_ATTACK),
+        ("attack", "best_index", ("evaluate",), BLACK_DTW_ATTACK),
+        ("attack", "gatn_files", ("evaluate",), BLACK_DTW_ATTACK),
+    ], ids=["label_map", "teacher_kind", "mode", "betas", "best_index", "gatn_files"])
+    def test_manifest_without_a_field_its_readers_index(self, black_dtw_run, tmp_path, capsys,
+                                                        stage, field, reader, command):
+        """The reader refuses the stage in one error line, and the command it names
+        rebuilds the stage, with the same config hash, so the reader runs again."""
+        out = copy_run(black_dtw_run, tmp_path)
+        before = read_manifest(out, stage)
+        path = os.path.join(out, stage, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({k: v for k, v in before.items() if k != field}, fh)
+        capsys.readouterr()
+        assert run(*reader, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a stage manifest") and field in err
+        assert f"rerun `tsadv {command[0]}`" in err and len(err.splitlines()) == 1
+        assert run(*command, "--out", out) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert read_manifest(out, stage) == before
+        assert run(*reader, "--out", out) == 0
+
     def test_own_manifest_not_an_object_is_rebuilt(self, black_dtw_run, tmp_path, capsys):
         """A stage's own command rebuilds it, with the same config hash, so the
         stages built from it stay current."""
@@ -614,7 +686,8 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("stage, name, reader, command", [
         ("student", "teacher_outputs.npz", BLACK_DTW_ATTACK, "distill"),
         ("attack", "d_eval_outputs.npz", ("evaluate",), "attack"),
-    ], ids=["teacher_outputs", "d_eval_outputs"])
+        ("prepare", "d_eval.npz", ("evaluate",), "prepare"),
+    ], ids=["teacher_outputs", "d_eval_outputs", "d_eval_split"])
     def test_truncated_saved_outputs(self, black_dtw_run, tmp_path, capsys, stage, name, reader,
                                      command):
         out = copy_run(black_dtw_run, tmp_path)
@@ -895,6 +968,26 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: config section 'prepare'")
 
 
+def write_gappy_archive(tmp_path):
+    """Train and test files of rows of differing lengths, with leading, interior
+    and trailing NaNs and raw labels {3, 7, 9}; returns the files by "TRAIN" and
+    "TEST", their row counts and the longest row's length."""
+    rng = np.random.default_rng(11)
+    files, n_rows, longest = {}, {}, 0
+    for which, per_class in (("TRAIN", 3), ("TEST", 5)):
+        rows = []
+        for label in (3, 7, 9) * per_class:
+            values = [f"{v:.6f}" for v in rng.normal(size=int(rng.integers(6, 15)))]
+            gaps = {0, len(values) // 2, len(values) - 1} if len(rows) % 2 else {2}
+            values = ["NaN" if i in gaps else v for i, v in enumerate(values)]
+            longest = max(longest, len(values))
+            rows.append("\t".join([str(label)] + values))
+        files[which] = tmp_path / f"Gappy_{which}.tsv"
+        files[which].write_text("\n".join(rows) + "\n")
+        n_rows[which] = len(rows)
+    return files, n_rows, longest
+
+
 class TestArchiveLayout:
     def test_env_root_resolution(self, tmp_path, monkeypatch):
         root = tmp_path / "archive"
@@ -915,14 +1008,14 @@ class TestArchiveLayout:
         prepare = ("prepare", "--out", out, "--train-file", str(train), "--test-file", str(test))
         write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=5)
         assert run(*prepare) == 0
-        d_eval = os.path.join(out, "prepare", "d_eval.tsv")
-        before = open(d_eval).read()
+        d_eval = os.path.join(out, "prepare", "d_eval.npz")
+        before = open(d_eval, "rb").read()
         # new rows at the same paths
         write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=6)
         capsys.readouterr()
         assert run(*prepare) == 0
         assert "up to date" not in capsys.readouterr().out
-        assert open(d_eval).read() != before
+        assert open(d_eval, "rb").read() != before
 
     def test_train_and_test_label_sets_must_match(self, tmp_path, capsys):
         """Each file is remapped alone, so a class missing from one would shift the other's."""
@@ -961,19 +1054,7 @@ class TestArchiveLayout:
     def test_ragged_nan_gapped_files_prepare_full_length_finite_splits(self, tmp_path, znorm):
         """Rows of differing lengths with leading, interior and trailing NaNs, raw labels
         {3, 7, 9}: every prepared row has the longest row's length and no NaN."""
-        rng = np.random.default_rng(11)
-        files, n_rows, longest = {}, {}, 0
-        for which, per_class in (("TRAIN", 3), ("TEST", 5)):
-            rows = []
-            for label in (3, 7, 9) * per_class:
-                values = [f"{v:.6f}" for v in rng.normal(size=int(rng.integers(6, 15)))]
-                gaps = {0, len(values) // 2, len(values) - 1} if len(rows) % 2 else {2}
-                values = ["NaN" if i in gaps else v for i, v in enumerate(values)]
-                longest = max(longest, len(values))
-                rows.append("\t".join([str(label)] + values))
-            files[which] = tmp_path / f"Gappy_{which}.tsv"
-            files[which].write_text("\n".join(rows) + "\n")
-            n_rows[which] = len(rows)
+        files, n_rows, longest = write_gappy_archive(tmp_path)
         out = tmp_path / "run"
         assert run("prepare", "--out", str(out), "--train-file", str(files["TRAIN"]),
                    "--test-file", str(files["TEST"]), *(["--znorm"] if znorm else [])) == 0
@@ -983,13 +1064,12 @@ class TestArchiveLayout:
         counts = manifest["counts"]
         assert counts["teacher_train"] == n_rows["TRAIN"]
         assert counts["d_eval"] + counts["d_test"] == n_rows["TEST"]
+        raw_label = {v: k for k, v in prepared_label_map(out).items()}
         for which, count in counts.items():
-            rows = [line.split("\t") for line in
-                    (out / "prepare" / f"{which}.tsv").read_text().splitlines()]
-            assert len(rows) == count
-            for row in rows:
-                assert row[0] in ("3", "7", "9") and len(row) == longest + 1
-                values = np.array([float(v) for v in row[1:]])
+            rows, labels = prepared_split(out, which)
+            assert len(rows) == len(labels) == count
+            for values, label in zip(rows, labels.tolist()):
+                assert raw_label[label] in (3, 7, 9) and len(values) == longest
                 assert np.isfinite(values).all()
                 if znorm:
                     assert abs(values.mean()) < 1e-9 and abs(values.std() - 1.0) < 1e-9
@@ -1009,14 +1089,75 @@ class TestArchiveLayout:
             out = tmp_path / f"run_{delimiter}"
             assert run("prepare", "--out", str(out), "--train-file", str(train),
                        "--test-file", str(test), "--delimiter", delimiter) == 0
-            stages.append([(out / "prepare" / f"{which}.tsv").read_text()
-                           for which in ("teacher_train", "d_eval", "d_test")])
+            stages.append([(out / "prepare" / f"{which}.npz").read_bytes() for which in SPLITS])
         assert stages[0] == stages[1]
 
     def test_missing_env_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSADV_UCR_ROOT", raising=False)
         assert run("prepare", "--out", str(tmp_path / "o"), "--dataset", "Foo") == 1
         assert "TSADV_UCR_ROOT" in capsys.readouterr().err
+
+
+class TestPreparedSplits:
+    """prepare writes each split as float64 ``values`` and int64 ``labels`` arrays,
+    which every later stage reads as they are; only prepare parses text."""
+
+    @pytest.mark.parametrize("source", ["power", "gappy-raw", "gappy-znorm", "synthetic"])
+    def test_arrays_match_the_text_round_trip(self, tmp_path, source):
+        """The arrays are what the stages read when prepare wrote text and each
+        stage parsed it: save_ucr, then load_ucr and remap_labels per split."""
+        from tsadv.cli import _load_split
+        from tsadv.data import load_ucr, remap_labels, save_ucr
+
+        if source == "synthetic":
+            flags = ["--synthetic"]
+        else:
+            if source == "power":
+                train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
+                write_power_profile_archive(train, test, n_train=12, n_test=24, length=24, seed=5)
+            else:
+                files, _, _ = write_gappy_archive(tmp_path)
+                train, test = files["TRAIN"], files["TEST"]
+            flags = ["--train-file", str(train), "--test-file", str(test),
+                     *(["--znorm"] if source == "gappy-znorm" else [])]
+        out = str(tmp_path / "run")
+        assert run("prepare", "--out", out, *flags) == 0
+        for which in SPLITS:
+            values, labels = prepared_split(out, which)
+            split = _load_split(out, which, "test")
+            text = tmp_path / f"{which}.tsv"
+            save_ucr(split, text)
+            raw_labels, rows = load_ucr(text)
+            text_labels, label_map = remap_labels(raw_labels, split.name)
+            text_values = np.array(rows)
+            assert values.dtype == text_values.dtype == np.float64
+            assert labels.dtype == text_labels.dtype == np.int64
+            assert np.array_equal(values, text_values) and np.array_equal(labels, text_labels)
+            assert split.label_map == label_map
+
+    def test_only_prepare_parses_text(self, tmp_path, monkeypatch):
+        """A black-box dtw1nn pipeline reads the two archive files once each, in
+        prepare, and writes no text split."""
+        import tsadv.data as data
+
+        calls, command = [], [None]
+        for name in ("load_ucr", "save_ucr"):
+            def counting(*args, _name=name, _original=getattr(data, name), **kwargs):
+                calls.append((_name, command[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(data, name, counting)
+        train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
+        write_power_profile_archive(train, test, n_train=30, n_test=120, length=24)
+        out = str(tmp_path / "run")
+        for argv in (("prepare", "--train-file", str(train), "--test-file", str(test)),
+                     ("train-teacher", "--teacher", "dtw1nn"),
+                     ("distill", "--box", "black", "--epochs", "1"),
+                     (*BLACK_DTW_ATTACK,),
+                     ("evaluate",)):
+            command[0] = argv[0]
+            assert run(*argv, "--out", out) == 0
+        assert calls == [("load_ucr", "prepare"), ("load_ucr", "prepare")]
 
 
 @pytest.fixture(scope="module")
