@@ -179,7 +179,8 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
 
 
 def _load_arrays(out: str, stage: str, name: str, *keys: str) -> list:
-    """The arrays ``keys`` of ``out/<stage>/<name>``; a damaged file is a ValueError naming it."""
+    """The arrays ``keys`` of ``out/<stage>/<name>``; a damaged or missing file is a
+    ValueError naming it (a prepare stage that wrote text splits has no .npz)."""
     import numpy as np
     from .nn import DAMAGED_FILE_ERRORS
 
@@ -187,7 +188,7 @@ def _load_arrays(out: str, stage: str, name: str, *keys: str) -> list:
     try:
         with np.load(path) as saved:
             return [saved[key] for key in keys]
-    except DAMAGED_FILE_ERRORS as exc:
+    except (*DAMAGED_FILE_ERRORS, OSError) as exc:
         raise ValueError(f"cannot load {path}: {exc!r}; rerun `tsadv {_STAGE_COMMANDS[stage]}` "
                          f"first") from None
 

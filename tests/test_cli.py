@@ -488,8 +488,8 @@ class TestUpstreamRule:
 
     def test_text_splits_rerun_prepare(self, tmp_path, capsys):
         """A prepare stage whose config has no split format wrote its splits as text:
-        prepare rebuilds it, and a stage built from it names the next command, not
-        a missing .npz file."""
+        a stage reading a split names prepare, prepare rebuilds the stage, and a
+        stage built from the old one names the next command; no traceback."""
         from tsadv.config import config_hash
         from tsadv.data import Dataset, save_ucr
 
@@ -511,6 +511,9 @@ class TestUpstreamRule:
         distill = ("distill", "--out", out, "--box", "black", "--epochs", "1")
         assert run(*teacher) == 0
         capsys.readouterr()
+        assert run(*distill) == 1  # reads splits prepare has not written yet
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load") and "rerun `tsadv prepare`" in err
         assert run(*prepare) == 0
         assert "up to date" not in capsys.readouterr().out
         assert read_manifest(out, "prepare")["files"] == [f"{w}.npz" for w in sorted(SPLITS)]
