@@ -3,13 +3,11 @@ evaluate -> report.
 
 Every stage is run by :func:`_run_stage`: it is built beside its final
 directory and swapped in whole once its manifest is written. The manifest
-carries the hash of the stage's resolved configuration and lists the stage's
-files; rerunning a stage with an unchanged configuration and all its files
-present is a no-op. Stages written before manifests listed their files rerun
-once. Each configuration also maps every stage the stage read to that
-stage's config hash, under ``upstream``, and one rule reads it: a stage
-refuses a stage it reads, naming the command to rerun, when that stage, or
-any stage that stage recorded, is missing or now has another config hash.
+holds the hash of the stage's resolved configuration, whose ``upstream`` maps
+each stage the stage read to that stage's config hash, and the sha256 digest
+of each of its files. A stage is up to date while both match; a reader loads
+the stages it reads once, through :func:`_load_chain`, which refuses one that
+does not match, naming the command to rerun.
 Flags override the ``--config`` file's section for the command, and
 the fully resolved configuration is echoed into the output directory.
 
@@ -79,7 +77,7 @@ def _read_json(path: str):
 
 _STAGE_COMMANDS = {"prepare": "prepare", "teacher": "train-teacher", "student": "distill",
                    "attack": "attack", "reports": "evaluate"}
-_MANIFEST_FIELDS = {"config_hash": str, "config": dict, "files": list}
+_MANIFEST_FIELDS = {"config_hash": str, "config": dict, "files": dict}
 # the fields of a stage's own that the stages reading it index
 _STAGE_FIELDS = {"prepare": {"label_map": dict}, "teacher": {"teacher_kind": str},
                  "student": {"mode": str},
@@ -88,13 +86,19 @@ _STAGE_FIELDS = {"prepare": {"label_map": dict}, "teacher": {"teacher_kind": str
 
 def _read_manifest(path: str, stage: str) -> dict:
     """The manifest at ``path``; a ValueError naming the file unless it holds
-    _MANIFEST_FIELDS and the stage's _STAGE_FIELDS."""
+    _MANIFEST_FIELDS and the stage's _STAGE_FIELDS, or naming the first file it
+    lists that is missing or lacks the sha256 digest it records."""
     manifest = _read_json(path)
     fields = {**_MANIFEST_FIELDS, **_STAGE_FIELDS.get(stage, {})}
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(k), t) for k, t in fields.items())):
         raise ValueError(f"{path} is not a stage manifest, a JSON object holding "
                          f"{', '.join(fields)}")
+    for name, digest in manifest["files"].items():
+        file = os.path.join(os.path.dirname(path), name)
+        if not os.path.isfile(file) or _file_sha256(file) != digest:
+            raise ValueError(f"cannot load {file}: missing or changed since the {stage} stage "
+                             f"wrote it")
     return manifest
 
 
@@ -106,14 +110,12 @@ def _committed_manifest(out: str, stage: str) -> dict | None:
         return None
 
 
-def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
-    """The manifest of ``out/<stage>``, refused unless the stage is complete and current.
-
-    A stage is current when each stage its config's ``upstream`` records is
-    current itself and still has the config hash recorded there. Only
-    ``prepare`` reads no stage; any other manifest without ``upstream`` was
-    written before stages recorded what they read, and counts as stale.
-    """
+def _load_chain(out: str, stage: str, needed_by: str, chain: dict | None = None) -> dict:
+    """``chain`` with the manifests of ``out/<stage>`` and of each stage it recorded
+    added by name, none read twice; a stage is refused unless _read_manifest takes
+    its manifest, files included, and each stage its config's ``upstream`` records
+    loads too and still has the config hash recorded there."""
+    chain = {} if chain is None else chain
     path = os.path.join(out, stage, "manifest.json")
     command = _STAGE_COMMANDS[stage]
     if not os.path.exists(path):
@@ -123,11 +125,6 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
         manifest = _read_manifest(path, stage)
     except ValueError as exc:
         raise ValueError(f"{exc}; rerun `tsadv {command}` first") from None
-    for name in manifest["files"]:
-        if not os.path.exists(os.path.join(out, stage, name)):
-            raise MissingArtifactError(
-                f"{needed_by} needs {os.path.join(out, stage, name)}, which the {stage} stage "
-                f"lists but lacks; rerun `tsadv {command}` first")
     upstream = manifest["config"].get("upstream", {} if stage == "prepare" else None)
     if not isinstance(upstream, dict):
         raise MissingArtifactError(
@@ -135,28 +132,33 @@ def _load_manifest(out: str, stage: str, needed_by: str) -> dict:
             f"stages; rerun `tsadv {command}` first")
     # every recorded stage is checked before any is compared, so the error
     # names the first command of the chain that needs to run again
-    current = {name: _load_manifest(out, name, needed_by)["config_hash"] for name in upstream
-               if os.path.exists(os.path.join(out, name, "manifest.json"))}
+    for name in upstream:
+        if name not in chain and os.path.exists(os.path.join(out, name, "manifest.json")):
+            _load_chain(out, name, needed_by, chain)
     for name, used in upstream.items():
-        if current.get(name) != used:
+        if name not in chain or chain[name]["config_hash"] != used:
             raise MissingArtifactError(
                 f"{needed_by} needs the {stage} stage built from the current {name} stage; "
                 f"rerun `tsadv {command}` first")
-    return manifest
+    chain[stage] = manifest
+    return chain
 
 
-def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) -> None:
-    """Run one stage into ``out/<stage>`` unless it is up to date for ``cfg``.
+def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
+               chain: dict | None = None) -> None:
+    """Run one stage into ``out/<stage>`` unless it is up to date for ``cfg``, whose
+    ``upstream`` is the config hashes of ``chain``, the stages it reads.
 
     ``write(path)`` writes the stage's files into ``path`` and returns the
     stage's own manifest fields. The stage is built in ``out/.<stage>.partial``
     and replaces ``out/<stage>`` only once its manifest is written.
     """
+    if chain is not None:
+        cfg = {**cfg, "upstream": {name: m["config_hash"] for name, m in chain.items()}}
     cfg_hash = config_hash(cfg)
     final = os.path.join(out, stage)
     manifest = _committed_manifest(out, stage)  # a damaged stage is rebuilt
-    if (manifest is not None and manifest["config_hash"] == cfg_hash
-            and all(os.path.exists(os.path.join(final, f)) for f in manifest["files"])):
+    if manifest is not None and manifest["config_hash"] == cfg_hash:
         print(f"[{stage}] up to date (config {cfg_hash}), skipping")
         return
     partial = os.path.join(out, f".{stage}.partial")
@@ -164,9 +166,9 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
     os.makedirs(partial)
     try:
         fields = write(partial)
+        files = {name: _file_sha256(os.path.join(partial, name)) for name in os.listdir(partial)}
         _write_json(os.path.join(partial, "manifest.json"),
-                    {**fields, "config_hash": cfg_hash, "config": cfg,
-                     "files": sorted(os.listdir(partial))})
+                    {**fields, "config_hash": cfg_hash, "config": cfg, "files": files})
         shutil.rmtree(final, ignore_errors=True)
         os.rename(partial, final)
     finally:
@@ -180,7 +182,7 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict]) ->
 
 def _load_arrays(out: str, stage: str, name: str, *keys: str) -> list:
     """The arrays ``keys`` of ``out/<stage>/<name>``; a damaged or missing file is a
-    ValueError naming it (a prepare stage that wrote text splits has no .npz)."""
+    ValueError naming it, should it change after its stage's digests were checked."""
     import numpy as np
     from .nn import DAMAGED_FILE_ERRORS
 
@@ -246,9 +248,8 @@ def cmd_prepare(args) -> int:
         # the files' bytes too: data rewritten in place must not look current
         files = [{"path": os.path.abspath(path), "sha256": _file_sha256(path)}
                  for path in (train_file, test_file)]
-    # split_format: splits written as text before it was hashed would look current
     cfg = {"dataset": dataset_name, "seed_split": args.seed_split, "znorm": args.znorm,
-           "synthetic": args.synthetic, "files": files, "split_format": "npz"}
+           "synthetic": args.synthetic, "files": files}
 
     def write(stage: str) -> dict:
         import numpy as np
@@ -291,11 +292,11 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _load_split(out: str, which: str, needed_by: str):
+def _load_split(out: str, which: str, chain: dict):
     """The ``Dataset`` of one split: the arrays prepare wrote and its manifest's ``label_map``."""
     from .data import Dataset
 
-    prep = _load_manifest(out, "prepare", needed_by)
+    prep = chain["prepare"]
     values, labels = _load_arrays(out, "prepare", f"{which}.npz", "values", "labels")
     # file basenames are stage-local; reports must carry the dataset's name
     return Dataset(prep["config"]["dataset"], values, labels,
@@ -304,8 +305,8 @@ def _load_split(out: str, which: str, needed_by: str):
 
 def cmd_train_teacher(args) -> int:
     out = args.out
-    prep = _load_manifest(out, "prepare", "train-teacher")
-    cfg = {"teacher": args.teacher, "upstream": {"prepare": prep["config_hash"]}}
+    chain = _load_chain(out, "prepare", "train-teacher")
+    cfg = {"teacher": args.teacher}
     if args.teacher == "fcn":  # the 1-NN DTW teacher reads none of the training flags
         cfg.update(seed_teacher=args.seed_teacher, epochs=args.epochs, batch_size=args.batch_size,
                    lr=args.lr, early_stop_acc=args.early_stop_acc)
@@ -319,7 +320,7 @@ def cmd_train_teacher(args) -> int:
         from .nn import save_model
 
         _keep_freed_memory()
-        train_set = _load_split(out, "teacher_train", "train-teacher")
+        train_set = _load_split(out, "teacher_train", chain)
         model = build_fcn(ArchitectureConfig(input_length=train_set.length,
                                              num_classes=train_set.num_classes,
                                              architecture="fcn", seed=args.seed_teacher))
@@ -332,30 +333,29 @@ def cmd_train_teacher(args) -> int:
         return {"teacher_kind": args.teacher, "train_accuracy": accuracy,
                 "epochs_run": len(model.training_log), "state_hash": model.state_hash()}
 
-    _run_stage(out, "teacher", cfg, write)
+    _run_stage(out, "teacher", cfg, write, chain)
     return 0
 
 
-def _load_teacher(out: str, needed_by: str):
+def _load_teacher(out: str, chain: dict):
     from .nn import load_model
     from .teachers import DTW1NNTeacher, FCNTeacher
 
-    if _load_manifest(out, "teacher", needed_by)["teacher_kind"] == "fcn":
+    if chain["teacher"]["teacher_kind"] == "fcn":
         return FCNTeacher(load_model(os.path.join(out, "teacher", "fcn.npz")))
-    return DTW1NNTeacher.from_dataset(_load_split(out, "teacher_train", needed_by))
+    return DTW1NNTeacher.from_dataset(_load_split(out, "teacher_train", chain))
 
 
 def cmd_distill(args) -> int:
     out = args.out
-    upstream = {stage: _load_manifest(out, stage, "distill") for stage in ("prepare", "teacher")}
-    teacher_kind = upstream["teacher"]["teacher_kind"]
+    chain = _load_chain(out, "teacher", "distill")
+    teacher_kind = chain["teacher"]["teacher_kind"]
     if attacks_teacher(args.box, teacher_kind):
         raise ValueError(f"a {args.box}-box attack on the {teacher_kind} teacher differentiates "
                          f"through the teacher itself and reads no student")
     gamma = DISTILL_GAMMA[args.box] if args.gamma is None else args.gamma
     cfg = {"box": args.box, "gamma": gamma, "tau": args.tau, "epochs": args.epochs,
-           "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr,
-           "upstream": {stage: m["config_hash"] for stage, m in upstream.items()}}
+           "seed_student": args.seed_student, "batch_size": args.batch_size, "lr": args.lr}
 
     def write(stage: str) -> dict:
         import numpy as np
@@ -366,8 +366,8 @@ def cmd_distill(args) -> int:
         config = DistillConfig(gamma=gamma, tau=args.tau, epochs=args.epochs,
                                batch_size=args.batch_size, lr=args.lr, seed=args.seed_student)
         _keep_freed_memory()
-        teacher = _load_teacher(out, "distill")
-        d_eval = _load_split(out, "d_eval", "distill")
+        teacher = _load_teacher(out, chain)
+        d_eval = _load_split(out, "d_eval", chain)
         mode = "soft" if args.box == "white" else "hard"
         outputs = teacher_outputs(teacher, d_eval.values, mode=mode)
         np.savez(os.path.join(stage, "teacher_outputs.npz"),
@@ -383,21 +383,20 @@ def cmd_distill(args) -> int:
         return {"mode": mode, "fidelity": fidelity, "state_hash": student.state_hash(),
                 "teacher_calls": dict(teacher.calls)}
 
-    _run_stage(out, "student", cfg, write)
+    _run_stage(out, "student", cfg, write, chain)
     return 0
 
 
 def cmd_attack(args) -> int:
     out = args.out
-    teacher_manifest = _load_manifest(out, "teacher", "attack")
-    if teacher_manifest["teacher_kind"] != args.teacher:
+    chain = _load_chain(out, "teacher", "attack")
+    if chain["teacher"]["teacher_kind"] != args.teacher:
         raise MissingArtifactError(
-            f"teacher stage trained {teacher_manifest['teacher_kind']!r}; rerun train-teacher "
+            f"teacher stage trained {chain['teacher']['teacher_kind']!r}; rerun train-teacher "
             f"for {args.teacher!r}")
-    upstream = {"prepare": _load_manifest(out, "prepare", "attack"), "teacher": teacher_manifest}
     if not attacks_teacher(args.box, args.teacher):
-        upstream["student"] = _load_manifest(out, "student", "attack")
-    student = upstream.get("student")
+        _load_chain(out, "student", "attack", chain)
+    student = chain.get("student")
     if args.box == "black" and student is not None and student["mode"] != "hard":
         raise MissingArtifactError(
             f"black-box attack needs a student distilled from hard labels, but the student "
@@ -406,13 +405,10 @@ def cmd_attack(args) -> int:
     # a student distilled from hard labels kept the teacher's clean d_eval
     # labels; soft targets are not reused, since argmax(soft_1nn) may break a
     # distance tie differently from nn1_classify
-    labels_path = os.path.join(out, "student", "teacher_outputs.npz")
     reuse_labels = student is not None and student["mode"] == "hard"
     cfg = {"box": args.box, "teacher": args.teacher, "alpha": args.alpha, "betas": betas,
            "target_class": args.target_class, "seed_gatn": args.seed_gatn,
-           "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
-           "upstream": {stage: m["config_hash"] for stage, m in upstream.items()},
-           "clean_labels_sha256": _file_sha256(labels_path) if reuse_labels else None}
+           "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr}
 
     def write(stage: str) -> dict:
         import numpy as np
@@ -424,10 +420,10 @@ def cmd_attack(args) -> int:
                             beta=betas[0], target_class=args.target_class, seed=args.seed_gatn,
                             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr)
         _keep_freed_memory()
-        teacher = _load_teacher(out, "attack")
+        teacher = _load_teacher(out, chain)
         surrogate = select_surrogate(base, teacher, None if student is None else load_model(
             os.path.join(out, "student", "student.npz")))
-        d_eval = _load_split(out, "d_eval", "attack")
+        d_eval = _load_split(out, "d_eval", chain)
         pred_clean = (_load_arrays(out, "student", "teacher_outputs.npz", "hard_labels")[0]
                       if reuse_labels else None)
         runs, reports, best, outputs = beta_grid_search(
@@ -446,7 +442,7 @@ def cmd_attack(args) -> int:
                 "gatn_state_hashes": [run.gatn.state_hash() for run in runs],
                 "teacher_calls": dict(teacher.calls)}
 
-    _run_stage(out, "attack", cfg, write)
+    _run_stage(out, "attack", cfg, write, chain)
     return 0
 
 
@@ -459,10 +455,9 @@ def cmd_evaluate(args) -> int:
     both when the surrogate is the FCN teacher, see ``attack.clean_labels``).
     """
     out = args.out
-    attack_manifest = _load_manifest(out, "attack", "evaluate")
-    acfg = attack_manifest["config"]
-    cfg = {"upstream": {**acfg["upstream"], "attack": attack_manifest["config_hash"]},
-           "criterion": args.criterion, "all_betas": args.all_betas}
+    chain = _load_chain(out, "attack", "evaluate")
+    acfg = chain["attack"]["config"]
+    cfg = {"criterion": args.criterion, "all_betas": args.all_betas}
 
     def write(stage: str) -> dict:
         from dataclasses import replace
@@ -477,17 +472,17 @@ def cmd_evaluate(args) -> int:
         base = AttackConfig(box_mode=acfg["box"], teacher_kind=acfg["teacher"],
                             alpha=acfg["alpha"], target_class=acfg["target_class"],
                             seed=acfg["seed_gatn"])
-        teacher = _load_teacher(out, "evaluate")
+        teacher = _load_teacher(out, chain)
         surrogate = select_surrogate(base, teacher, load_model(
-            os.path.join(out, "student", "student.npz")) if "student" in acfg["upstream"] else None)
-        d_eval = _load_split(out, "d_eval", "evaluate")
-        d_test = _load_split(out, "d_test", "evaluate")
+            os.path.join(out, "student", "student.npz")) if "student" in chain else None)
+        d_eval = _load_split(out, "d_eval", chain)
+        d_test = _load_split(out, "d_test", chain)
         eval_clean, eval_x_hat, eval_adv = _load_arrays(out, "attack", D_EVAL_OUTPUTS,
                                                         "clean_labels", "x_hat", "adv_labels")
-        betas = attack_manifest["betas"]
-        indices = range(len(betas)) if args.all_betas else [attack_manifest["best_index"]]
+        betas = chain["attack"]["betas"]
+        indices = range(len(betas)) if args.all_betas else [chain["attack"]["best_index"]]
         runs = [AttackRun(replace(base, beta=betas[i]), surrogate, load_model(
-            os.path.join(out, "attack", attack_manifest["gatn_files"][i]))) for i in indices]
+            os.path.join(out, "attack", chain["attack"]["gatn_files"][i]))) for i in indices]
         test_signal = surrogate_signal(surrogate, d_test.values, base.target_class,
                                        runs[0].gatn.parameters()[0].dtype)
         test_clean = clean_labels(teacher, surrogate, d_test.values, test_signal)
@@ -509,7 +504,7 @@ def cmd_evaluate(args) -> int:
                   f"{r.num_adversaries}/{r.n_evaluated} adversaries, mse_all={r.mse_all:.4f}")
         return {"n_reports": len(reports), "teacher_calls": dict(teacher.calls)}
 
-    _run_stage(out, "reports", cfg, write)
+    _run_stage(out, "reports", cfg, write, chain)
     return 0
 
 
@@ -736,12 +731,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _flag_takes(action: argparse.Action, value) -> str | None:
+    """What the flag ``action`` takes, when a ``--config`` file's ``value`` is not
+    one it takes on the command line; None when it is."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # store_true
+        takes, ok = "true or false", isinstance(value, bool)
+    elif action.choices is not None:
+        takes, ok = f"one of {json.dumps(action.choices)}", value in action.choices
+    else:
+        takes, kind = {int: ("an integer", int),
+                       float: ("a number", (int, float))}.get(action.type, ("a string", str))
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    return None if ok else f"{takes}{' or null' if action.default is None else ''}"
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``, with the ``--config`` file's section for the command as its flag defaults.
 
     Every top-level key of the file names a command, and its value holds
-    that command's flag defaults; a command without a section takes none.
-    Flags on the command line win.
+    that command's flag defaults, each of a JSON type the flag takes; a command
+    without a section takes none. Flags on the command line win.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -755,10 +766,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         defaults = sections.get(args.command, {})
         if not isinstance(defaults, dict):
             raise ValueError(f"config section {args.command!r} must be a JSON object")
+        actions = {action.dest: action for action in commands[args.command]._actions}
         for key, value in defaults.items():
             dest = key.replace("-", "_")
             if dest not in vars(args) or dest in ("command", "func", "config"):
                 raise ValueError(f"config key {key!r} is not a flag of `tsadv {args.command}`")
+            takes = _flag_takes(actions[dest], value)
+            if takes is not None:
+                raise ValueError(f"config key {key!r} in {args.config} takes {takes}, "
+                                 f"not {json.dumps(value)}")
+            if actions[dest].type is float and value is not None:
+                value = float(value)  # as the flag gives it, so `"tau": 10` hashes as 10.0
             commands[args.command].set_defaults(**{dest: value})
         args = parser.parse_args(argv)
     return args

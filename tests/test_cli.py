@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -58,6 +59,16 @@ def copy_run(src, tmp_path):
 def read_manifest(out, stage):
     with open(os.path.join(out, stage, "manifest.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# the stage files that record the run directory, whose digests move in a copy_run copy
+RUN_DIR_FILES = ("grid_reports.json", "reports.json")
+
+
+def relocated(manifest):
+    """``manifest`` without the digests of RUN_DIR_FILES."""
+    return {**manifest, "files": {name: digest for name, digest in manifest["files"].items()
+                                  if name not in RUN_DIR_FILES}}
 
 
 SPLITS = ("teacher_train", "d_eval", "d_test")
@@ -321,16 +332,14 @@ class TestWhiteFcnCleanLabels:
 def make_pre_d_eval_outputs_attack_stage(out):
     """Turn out/attack into an attack stage as written before d_eval_outputs.npz existed.
 
-    Such a stage has no d_eval_outputs.npz and lists none, and its
-    configuration has no clean_labels_sha256 entry and, older still than
-    upstream records, no upstream entry.
+    Such a stage has no d_eval_outputs.npz, lists its files by name alone, with
+    no digest, and, older still than upstream records, has no upstream entry.
     """
     from tsadv.config import config_hash
 
     os.remove(os.path.join(out, "attack", "d_eval_outputs.npz"))
     manifest = read_manifest(out, "attack")
-    manifest["files"].remove("d_eval_outputs.npz")
-    del manifest["config"]["clean_labels_sha256"]
+    manifest["files"] = sorted(name for name in manifest["files"] if name != "d_eval_outputs.npz")
     del manifest["config"]["upstream"]
     manifest["config_hash"] = config_hash(manifest["config"])
     with open(os.path.join(out, "attack", "manifest.json"), "w", encoding="utf-8") as fh:
@@ -368,18 +377,25 @@ class TestAttackOutputsUpToDate:
         assert open(path, "rb").read() == before
 
     def test_changed_teacher_outputs_rerun_attack(self, black_dtw_run, tmp_path, capsys):
-        """The black-box attack reads its clean labels from the student stage and hashes them."""
+        """The black-box attack reads its clean labels from the student stage, whose
+        digests cover them: rewritten labels are refused, naming distill, and once
+        distill has rebuilt them the attack stage is up to date again."""
         out = copy_run(black_dtw_run, tmp_path)
         path = os.path.join(out, "student", "teacher_outputs.npz")
+        before = open(path, "rb").read()
         with np.load(path) as saved:
             outputs = dict(saved)
         outputs["hard_labels"] = 1 - outputs["hard_labels"]
         np.savez(path, **outputs)
         capsys.readouterr()
-        assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}") and "rerun `tsadv distill`" in err
+        assert run("distill", "--out", out, "--box", "black", "--epochs", "1") == 0
         assert "up to date" not in capsys.readouterr().out
-        with np.load(os.path.join(out, "attack", "d_eval_outputs.npz")) as saved:
-            assert np.array_equal(saved["clean_labels"], outputs["hard_labels"])
+        assert open(path, "rb").read() == before
+        assert run(*BLACK_DTW_ATTACK, "--out", out) == 0
+        assert "[attack] up to date" in capsys.readouterr().out
 
     def test_student_from_another_teacher_stage_is_refused(self, black_dtw_run, tmp_path,
                                                            capsys):
@@ -487,40 +503,37 @@ class TestUpstreamRule:
                                   teacher.predict_labels(split("d_eval").values))
 
     def test_text_splits_rerun_prepare(self, tmp_path, capsys):
-        """A prepare stage whose config has no split format wrote its splits as text:
-        a stage reading a split names prepare, prepare rebuilds the stage, and a
-        stage built from the old one names the next command; no traceback."""
-        from tsadv.config import config_hash
+        """A prepare stage that wrote its splits as text listed its files by name alone:
+        its readers refuse it in one error line naming prepare, and prepare rebuilds
+        it, although its config hash is the current one; no traceback."""
         from tsadv.data import Dataset, save_ucr
 
         out = str(tmp_path / "run")
         prepare = ("prepare", "--out", out, "--synthetic")
-        assert run(*prepare) == 0
+        teacher = ("train-teacher", "--out", out, "--teacher", "dtw1nn")
+        distill = ("distill", "--out", out, "--box", "black", "--epochs", "1")
+        assert run(*prepare) == 0 and run(*teacher) == 0
         manifest = read_manifest(out, "prepare")
         for which in SPLITS:  # the layout of a stage written before the .npz splits
             path = os.path.join(out, "prepare", which)
             save_ucr(Dataset("bumps", *prepared_split(out, which), prepared_label_map(out)),
                      f"{path}.tsv")
             os.remove(f"{path}.npz")
-        del manifest["config"]["split_format"]
-        manifest["config_hash"] = config_hash(manifest["config"])
         manifest["files"] = [f"{which}.tsv" for which in sorted(SPLITS)]
         with open(os.path.join(out, "prepare", "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
-        teacher = ("train-teacher", "--out", out, "--teacher", "dtw1nn")
-        distill = ("distill", "--out", out, "--box", "black", "--epochs", "1")
-        assert run(*teacher) == 0
         capsys.readouterr()
-        assert run(*distill) == 1  # reads splits prepare has not written yet
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot load") and "rerun `tsadv prepare`" in err
+        for reader in (teacher, distill):
+            assert run(*reader) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "rerun `tsadv prepare`" in err
+            assert len(err.splitlines()) == 1
         assert run(*prepare) == 0
         assert "up to date" not in capsys.readouterr().out
-        assert read_manifest(out, "prepare")["files"] == [f"{w}.npz" for w in sorted(SPLITS)]
-        assert run(*distill) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "rerun `tsadv train-teacher`" in err
-        assert run(*teacher) == 0 and run(*distill) == 0
+        assert sorted(read_manifest(out, "prepare")["files"]) == [
+            f"{w}.npz" for w in sorted(SPLITS)]
+        assert run(*teacher) == 0 and "[teacher] up to date" in capsys.readouterr().out
+        assert run(*distill) == 0
 
     @pytest.mark.parametrize("stage, reader, command", [
         ("teacher", ("distill", "--box", "black", "--epochs", "1"),
@@ -591,7 +604,8 @@ class TestDamagedFiles:
                 fh.write(whole[:len(whole) // 2])
         capsys.readouterr()
         assert run("evaluate", "--out", out) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot load model file {path}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}") and "rerun `tsadv distill`" in err
 
     @pytest.mark.parametrize("damage", ["extra field", "no reports key", "not JSON"])
     def test_report_on_a_damaged_reports_file(self, tmp_path, capsys, damage):
@@ -657,7 +671,7 @@ class TestDamagedFiles:
         assert f"rerun `tsadv {command[0]}`" in err and len(err.splitlines()) == 1
         assert run(*command, "--out", out) == 0
         assert "up to date" not in capsys.readouterr().out
-        assert read_manifest(out, stage) == before
+        assert relocated(read_manifest(out, stage)) == relocated(before)
         assert run(*reader, "--out", out) == 0
 
     def test_own_manifest_not_an_object_is_rebuilt(self, black_dtw_run, tmp_path, capsys):
@@ -687,22 +701,39 @@ class TestDamagedFiles:
         assert echoed["student"]["seed_student"] == 3
 
     @pytest.mark.parametrize("stage, name, reader, command", [
-        ("student", "teacher_outputs.npz", BLACK_DTW_ATTACK, "distill"),
-        ("attack", "d_eval_outputs.npz", ("evaluate",), "attack"),
-        ("prepare", "d_eval.npz", ("evaluate",), "prepare"),
+        ("student", "teacher_outputs.npz", BLACK_DTW_ATTACK,
+         ("distill", "--box", "black", "--epochs", "1")),
+        ("attack", "d_eval_outputs.npz", ("evaluate",), BLACK_DTW_ATTACK),
+        ("prepare", "d_eval.npz", ("evaluate",), ("prepare", "--synthetic")),
     ], ids=["teacher_outputs", "d_eval_outputs", "d_eval_split"])
     def test_truncated_saved_outputs(self, black_dtw_run, tmp_path, capsys, stage, name, reader,
                                      command):
+        """A truncated file, and then one rewritten in place as a valid .npz with the
+        same keys and shapes, is refused by its reader in one error line naming the
+        command that wrote it; that command rebuilds the stage as it was, and the
+        reader then runs."""
         out = copy_run(black_dtw_run, tmp_path)
         shutil.rmtree(os.path.join(out, "reports"))
         path = os.path.join(out, stage, name)
-        with open(path, "r+b") as fh:
-            fh.truncate(100)
-        capsys.readouterr()
-        assert run(*reader, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot load {path}")
-        assert f"rerun `tsadv {command}`" in err
+        before = relocated(read_manifest(out, stage))
+        with np.load(path) as saved:
+            rewritten = {key: saved[key] + 1 if saved[key].dtype.kind in "fiu" else saved[key]
+                         for key in saved.files}
+        for damage in ("truncated", "rewritten"):
+            if damage == "truncated":
+                with open(path, "r+b") as fh:
+                    fh.truncate(100)
+            else:
+                np.savez(path, **rewritten)
+            capsys.readouterr()
+            assert run(*reader, "--out", out) == 1, damage
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot load {path}"), damage
+            assert f"rerun `tsadv {command[0]}`" in err and len(err.splitlines()) == 1
+            assert run(*command, "--out", out) == 0
+            assert "up to date" not in capsys.readouterr().out, damage
+            assert relocated(read_manifest(out, stage)) == before
+            assert run(*reader, "--out", out) == 0
 
 
 class TestErrors:
@@ -963,6 +994,49 @@ class TestConfigFile:
                    "--synthetic") == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read JSON file {cfg}")
 
+    @pytest.mark.parametrize("command, key, value, takes", [
+        ("prepare", "seed_split", 1.5, "an integer"),
+        ("prepare", "seed-split", True, "an integer"),
+        ("prepare", "seed-split", None, "an integer"),
+        ("prepare", "delimiter", "pipe", 'one of ["comma", "space", "tab"]'),
+        ("prepare", "znorm", "no", "true or false"),
+        ("prepare", "znorm", 1, "true or false"),
+        ("prepare", "dataset", 3, "a string or null"),
+        ("train-teacher", "early-stop-acc", "0.9", "a number or null"),
+        ("train-teacher", "lr", False, "a number"),
+    ], ids=["int-float", "int-bool", "int-null", "choices", "store-true-string",
+            "store-true-int", "string-int", "float-string", "float-bool"])
+    def test_config_value_a_flag_does_not_take_is_an_error_line(self, tmp_path, capsys, command,
+                                                                key, value, takes):
+        """A store_true flag takes a JSON boolean, an int flag an integer, a choices
+        flag one of its choices, and a flag whose default is null also null; any
+        other value ends, before any stage work, in one error line naming the key
+        and the file."""
+        cfg = write_config(tmp_path, {"prepare": {"synthetic": True}, command: {key: value}})
+        out = tmp_path / "run"
+        flags = ("--teacher", "fcn") if command == "train-teacher" else ()
+        assert run("--config", cfg, command, "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err == (f"error: config key {key!r} in {cfg} takes {takes}, "
+                                           f"not {json.dumps(value)}\n")
+        assert not out.exists()
+
+    def test_config_values_the_flags_take(self, tmp_path):
+        """Null for a flag whose default is null, an integer for a float flag, and
+        values of each flag's own type are taken."""
+        from tsadv.cli import _parse_args
+
+        cfg = write_config(tmp_path, {
+            "prepare": {"synthetic": False, "seed-split": 2, "delimiter": "comma",
+                        "dataset": None},
+            "train-teacher": {"early-stop-acc": None, "lr": 1, "epochs": 3}})
+        args = _parse_args(["--config", cfg, "prepare", "--out", "o"])
+        assert (args.synthetic, args.seed_split, args.delimiter, args.dataset) == (
+            False, 2, "comma", None)
+        args = _parse_args(["--config", cfg, "train-teacher", "--out", "o", "--teacher", "fcn"])
+        assert (args.early_stop_acc, args.lr, args.epochs) == (None, 1.0, 3)
+        # an integer for a float flag is the float the flag would give, so both hash alike
+        assert isinstance(args.lr, float) and isinstance(args.epochs, int)
+
     def test_config_section_not_an_object_is_an_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prepare": 3}))
@@ -1109,7 +1183,7 @@ class TestPreparedSplits:
     def test_arrays_match_the_text_round_trip(self, tmp_path, source):
         """The arrays are what the stages read when prepare wrote text and each
         stage parsed it: save_ucr, then load_ucr and remap_labels per split."""
-        from tsadv.cli import _load_split
+        from tsadv.cli import _load_chain, _load_split
         from tsadv.data import load_ucr, remap_labels, save_ucr
 
         if source == "synthetic":
@@ -1127,7 +1201,7 @@ class TestPreparedSplits:
         assert run("prepare", "--out", out, *flags) == 0
         for which in SPLITS:
             values, labels = prepared_split(out, which)
-            split = _load_split(out, which, "test")
+            split = _load_split(out, which, _load_chain(out, "prepare", "test"))
             text = tmp_path / f"{which}.tsv"
             save_ucr(split, text)
             raw_labels, rows = load_ucr(text)
@@ -1161,6 +1235,53 @@ class TestPreparedSplits:
             command[0] = argv[0]
             assert run(*argv, "--out", out) == 0
         assert calls == [("load_ucr", "prepare"), ("load_ucr", "prepare")]
+
+
+class TestLoadOnce:
+    def test_each_stage_reads_each_manifest_and_hashes_each_file_once(self, tmp_path,
+                                                                       monkeypatch):
+        """Up to its commit, each stage of a black-box dtw1nn pipeline, and of its
+        rerun, reads each manifest at most once and hashes each file at most once;
+        the first evaluate reads all five manifests and hashes every file of its
+        four upstream stages and of its own."""
+        import tsadv.cli as cli
+
+        calls, command = [], [None]  # command: the running stage until it commits
+        for name in ("_read_manifest", "_file_sha256"):
+            def counting(path, *args, _name=name, _original=getattr(cli, name)):
+                if command[0] is not None:
+                    calls.append((command[0], _name, os.path.relpath(path, out)))
+                return _original(path, *args)
+
+            monkeypatch.setattr(cli, name, counting)
+
+        def write_json(path, obj, _original=cli._write_json):
+            if os.path.basename(os.path.dirname(path)).endswith(".partial"):
+                command[0] = None
+            return _original(path, obj)
+
+        monkeypatch.setattr(cli, "_write_json", write_json)
+        train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
+        write_power_profile_archive(train, test, n_train=30, n_test=120, length=24)
+        out = str(tmp_path / "run")
+        for run_index in (1, 2):
+            for argv in (("prepare", "--train-file", str(train), "--test-file", str(test)),
+                         ("train-teacher", "--teacher", "dtw1nn"),
+                         ("distill", "--box", "black", "--epochs", "1"),
+                         (*BLACK_DTW_ATTACK,),
+                         ("evaluate",)):
+                command[0] = (run_index, argv[0])
+                assert run(*argv, "--out", out) == 0
+        assert Counter(calls).most_common(1)[0][1] == 1
+        evaluate = [(name, path) for stage, name, path in calls if stage == (1, "evaluate")]
+        upstream = ("prepare", "teacher", "student", "attack")
+        assert sorted(path for name, path in evaluate if name == "_read_manifest") == sorted(
+            os.path.join(stage, "manifest.json") for stage in (*upstream, "reports"))
+        # and, to record their digests, the files it wrote
+        files = {stage: read_manifest(out, stage)["files"] for stage in (*upstream, "reports")}
+        files[".reports.partial"] = files.pop("reports")
+        assert sorted(path for name, path in evaluate if name == "_file_sha256") == sorted(
+            os.path.join(stage, f) for stage, names in files.items() for f in names)
 
 
 @pytest.fixture(scope="module")
