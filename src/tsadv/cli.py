@@ -86,20 +86,24 @@ _STAGE_FIELDS = {"prepare": {"label_map": dict}, "teacher": {"teacher_kind": str
 
 def _read_manifest(path: str, stage: str) -> dict:
     """The manifest at ``path``; a ValueError naming the file unless it holds
-    _MANIFEST_FIELDS and the stage's _STAGE_FIELDS, or naming the first file it
-    lists that is missing or lacks the sha256 digest it records."""
+    _MANIFEST_FIELDS and the stage's _STAGE_FIELDS."""
     manifest = _read_json(path)
     fields = {**_MANIFEST_FIELDS, **_STAGE_FIELDS.get(stage, {})}
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(k), t) for k, t in fields.items())):
         raise ValueError(f"{path} is not a stage manifest, a JSON object holding "
                          f"{', '.join(fields)}")
-    for name, digest in manifest["files"].items():
-        file = os.path.join(os.path.dirname(path), name)
-        if not os.path.isfile(file) or _file_sha256(file) != digest:
-            raise ValueError(f"cannot load {file}: missing or changed since the {stage} stage "
-                             f"wrote it")
     return manifest
+
+
+def _changed_file(out: str, stage: str, manifest: dict) -> str | None:
+    """The first file ``manifest`` lists that is missing from ``out/<stage>`` or
+    lacks the sha256 digest it records, or None if there is none."""
+    for name, digest in manifest["files"].items():
+        path = os.path.join(out, stage, name)
+        if not os.path.isfile(path) or _file_sha256(path) != digest:
+            return path
+    return None
 
 
 def _committed_manifest(out: str, stage: str) -> dict | None:
@@ -113,8 +117,8 @@ def _committed_manifest(out: str, stage: str) -> dict | None:
 def _load_chain(out: str, stage: str, needed_by: str, chain: dict | None = None) -> dict:
     """``chain`` with the manifests of ``out/<stage>`` and of each stage it recorded
     added by name, none read twice; a stage is refused unless _read_manifest takes
-    its manifest, files included, and each stage its config's ``upstream`` records
-    loads too and still has the config hash recorded there."""
+    its manifest, every file it lists is unchanged, and each stage its config's
+    ``upstream`` records loads too and still has the config hash recorded there."""
     chain = {} if chain is None else chain
     path = os.path.join(out, stage, "manifest.json")
     command = _STAGE_COMMANDS[stage]
@@ -135,6 +139,10 @@ def _load_chain(out: str, stage: str, needed_by: str, chain: dict | None = None)
     for name in upstream:
         if name not in chain and os.path.exists(os.path.join(out, name, "manifest.json")):
             _load_chain(out, name, needed_by, chain)
+    changed = _changed_file(out, stage, manifest)
+    if changed is not None:
+        raise ValueError(f"cannot load {changed}: missing or changed since the {stage} stage "
+                         f"wrote it; rerun `tsadv {command}` first")
     for name, used in upstream.items():
         if name not in chain or chain[name]["config_hash"] != used:
             raise MissingArtifactError(
@@ -157,8 +165,9 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
         cfg = {**cfg, "upstream": {name: m["config_hash"] for name, m in chain.items()}}
     cfg_hash = config_hash(cfg)
     final = os.path.join(out, stage)
-    manifest = _committed_manifest(out, stage)  # a damaged stage is rebuilt
-    if manifest is not None and manifest["config_hash"] == cfg_hash:
+    manifest = _committed_manifest(out, stage)  # a damaged or changed stage is rebuilt
+    if (manifest is not None and manifest["config_hash"] == cfg_hash
+            and _changed_file(out, stage, manifest) is None):
         print(f"[{stage}] up to date (config {cfg_hash}), skipping")
         return
     partial = os.path.join(out, f".{stage}.partial")
@@ -173,9 +182,11 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
         os.rename(partial, final)
     finally:
         shutil.rmtree(partial, ignore_errors=True)
-    # rebuilt from the committed manifests, so a damaged echo never fails a later
-    # stage; a damaged stage is left out, since this stage has committed already
-    manifests = {name: _committed_manifest(out, name) for name in _STAGE_COMMANDS}
+    # rebuilt from the loaded and committed manifests, so a damaged echo never fails a
+    # later stage; a damaged stage is left out, since this stage has committed already
+    loaded = {**(chain or {}), stage: {"config": cfg}}
+    manifests = {name: loaded.get(name) or _committed_manifest(out, name)
+                 for name in _STAGE_COMMANDS}
     _write_json(os.path.join(out, "config.json"),
                 {name: m["config"] for name, m in manifests.items() if m is not None})
 
@@ -216,8 +227,11 @@ def _keep_freed_memory() -> None:
 
 
 def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):  # a split may be tens of MB
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _resolve_files(args) -> tuple[str, str]:

@@ -66,9 +66,9 @@ RUN_DIR_FILES = ("grid_reports.json", "reports.json")
 
 
 def relocated(manifest):
-    """``manifest`` without the digests of RUN_DIR_FILES."""
-    return {**manifest, "files": {name: digest for name, digest in manifest["files"].items()
-                                  if name not in RUN_DIR_FILES}}
+    """``manifest`` with the digests of RUN_DIR_FILES blanked, their names kept."""
+    return {**manifest, "files": {name: None if name in RUN_DIR_FILES else digest
+                                  for name, digest in manifest["files"].items()}}
 
 
 SPLITS = ("teacher_train", "d_eval", "d_test")
@@ -1240,27 +1240,20 @@ class TestPreparedSplits:
 class TestLoadOnce:
     def test_each_stage_reads_each_manifest_and_hashes_each_file_once(self, tmp_path,
                                                                        monkeypatch):
-        """Up to its commit, each stage of a black-box dtw1nn pipeline, and of its
-        rerun, reads each manifest at most once and hashes each file at most once;
-        the first evaluate reads all five manifests and hashes every file of its
-        four upstream stages and of its own."""
+        """Each command of a black-box dtw1nn pipeline, and of its rerun, reads each
+        manifest at most once and hashes each file at most once, the config.json
+        echo after its commit included; the first evaluate reads all five manifests
+        and hashes every file of its four upstream stages and of its own, and a
+        stage whose config changed hashes none of its old files."""
         import tsadv.cli as cli
 
-        calls, command = [], [None]  # command: the running stage until it commits
+        calls, command = [], [None]  # command: the running command
         for name in ("_read_manifest", "_file_sha256"):
             def counting(path, *args, _name=name, _original=getattr(cli, name)):
-                if command[0] is not None:
-                    calls.append((command[0], _name, os.path.relpath(path, out)))
+                calls.append((command[0], _name, os.path.relpath(path, out)))
                 return _original(path, *args)
 
             monkeypatch.setattr(cli, name, counting)
-
-        def write_json(path, obj, _original=cli._write_json):
-            if os.path.basename(os.path.dirname(path)).endswith(".partial"):
-                command[0] = None
-            return _original(path, obj)
-
-        monkeypatch.setattr(cli, "_write_json", write_json)
         train, test = tmp_path / "Power_TRAIN.tsv", tmp_path / "Power_TEST.tsv"
         write_power_profile_archive(train, test, n_train=30, n_test=120, length=24)
         out = str(tmp_path / "run")
@@ -1272,7 +1265,12 @@ class TestLoadOnce:
                          ("evaluate",)):
                 command[0] = (run_index, argv[0])
                 assert run(*argv, "--out", out) == 0
+        command[0] = (3, "evaluate")
+        assert run("evaluate", "--out", out, "--criterion", "unlabeled") == 0
         assert Counter(calls).most_common(1)[0][1] == 1
+        assert not [path for stage, name, path in calls
+                    if stage == (3, "evaluate") and name == "_file_sha256"
+                    and path.startswith("reports" + os.sep)]
         evaluate = [(name, path) for stage, name, path in calls if stage == (1, "evaluate")]
         upstream = ("prepare", "teacher", "student", "attack")
         assert sorted(path for name, path in evaluate if name == "_read_manifest") == sorted(
