@@ -2,7 +2,10 @@
 
 Both teachers expose hard labels and a probability distribution, and count
 their own calls so tests can prove which information an attack consumed.
-The DTW teacher computes one distance matrix per query and keeps none.
+The DTW teacher keeps no distances between queries. Its probabilities come
+from the float64 distance matrix; its hard labels from a float32 filter that
+recomputes in float64 only the references it cannot rule out, which gives the
+labels of the float64 matrix.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .dtw import dtw_pairwise, nn1_classify, soft_1nn
+from .dtw import dtw_pairwise, nn1_classify, nn1_distances, soft_1nn
 from .models import as_conv_input
 from .nn import Network, predict
 from .util import readonly, softmax_np
@@ -91,7 +94,7 @@ class DTW1NNTeacher(Teacher):
 
     def predict_labels(self, x):
         self.calls["predict_labels"] += 1
-        return nn1_classify(self.distance_matrix(x), self.ref_labels)
+        return nn1_classify(nn1_distances(np.atleast_2d(x), self.ref_values), self.ref_labels)
 
     def predict_proba(self, x):
         self.calls["predict_proba"] += 1

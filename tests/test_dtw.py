@@ -36,8 +36,9 @@ def enumerate_paths_min_cost(q, c):
     return np.sqrt(best[0])
 
 
-def row_by_row_distance(q, c):
-    """Oracle: the row-by-row recurrence in plain Python floats.
+def row_by_row_distance(q, c, dtype=float):
+    """Oracle: the row-by-row recurrence in scalars of ``dtype`` (plain
+    Python floats by default, or np.float32).
 
     Row 0 is the running sum of costs along c; each later row i starts from
     the cell above and then takes cost + min(up, diagonal, left) left to
@@ -46,11 +47,11 @@ def row_by_row_distance(q, c):
     correctly rounded.
     """
     def cost(a, b):
-        d = float(a) - float(b)
+        d = dtype(a) - dtype(b)
         return d * d
 
     prev = []
-    total = 0.0
+    total = dtype(0.0)
     for cj in c:
         total += cost(q[0], cj)
         prev.append(total)
@@ -62,8 +63,8 @@ def row_by_row_distance(q, c):
     return np.sqrt(prev[-1])
 
 
-def row_by_row_matrix(ev, ref):
-    return np.array([[row_by_row_distance(q, c) for c in ref] for q in ev])
+def row_by_row_matrix(ev, ref, dtype=float):
+    return np.array([[row_by_row_distance(q, c, dtype) for c in ref] for q in ev])
 
 
 class TestDTWDistance:
@@ -159,19 +160,21 @@ class TestDistanceMatrix:
         assert all(np.array_equal(got[i], got[11]) for i in (3, 17, 29))
 
     def test_block_rows_are_a_function_of_the_shapes(self):
-        # cells per block, not pairs: 15 query rows (1005 pairs) at T = 24 against 67
-        # references, as when blocks held 1024 pairs, and one row at T = 512
-        assert [dtw_module._block_rows(67, t) for t in (24, 128, 512)] == [15, 2, 1]
-        assert dtw_module._block_rows(1, 24) == 1024
-        assert dtw_module._block_rows(2000, 24) == 1
+        # bytes per block, not pairs: 15 float64 query rows (1005 pairs) at T = 24
+        # against 67 references, as when blocks held 1024 pairs, and one row at
+        # T = 512; float32 blocks hold twice the rows in the same bytes
+        assert [dtw_module._block_rows(67, t, 8) for t in (24, 128, 512)] == [15, 2, 1]
+        assert [dtw_module._block_rows(67, t, 4) for t in (24, 128, 512)] == [30, 5, 1]
+        assert dtw_module._block_rows(1, 24, 8) == 1024
+        assert dtw_module._block_rows(2000, 24, 8) == 1
 
     def test_long_series_matrix_unchanged_across_block_sizes(self, monkeypatch):
         rng = np.random.default_rng(7)
         ev = rng.normal(size=(7, 128))
         ref = rng.normal(size=(5, 128))
         whole = dtw_pairwise(ev, ref)
-        for cells in (1, 5 * 129 * 2, 5 * 129 * 3, 10**9):
-            monkeypatch.setattr(dtw_module, "_BLOCK_CELLS", cells)
+        for block_bytes in (1, 5 * 129 * 2 * 8, 5 * 129 * 3 * 8, 10**9):
+            monkeypatch.setattr(dtw_module, "_BLOCK_BYTES", block_bytes)
             assert np.array_equal(dtw_pairwise(ev, ref), whole)
         assert whole[2, 3] == dtw_distance(ev[2], ref[3])
 
@@ -180,6 +183,47 @@ class TestDistanceMatrix:
         ev = rng.normal(size=(40, 10))
         ref = rng.normal(size=(67, 10))
         assert np.array_equal(dtw_pairwise(ev, ref, processes=2), row_by_row_matrix(ev, ref))
+
+
+class TestFloat32Matrix:
+    @pytest.mark.parametrize("n, m, t, u", [
+        (3, 4, 1, 1),
+        (4, 5, 6, 9),
+        (4, 5, 11, 3),
+        (40, 67, 24, 24),  # several float32 blocks of query rows
+    ])
+    def test_bitwise_equal_to_float32_row_by_row_oracle(self, n, m, t, u):
+        rng = np.random.default_rng(n * 1000 + m + t + u)
+        ev = rng.normal(size=(n, t)).astype(np.float32)
+        ref = rng.normal(size=(m, u)).astype(np.float32)
+        got = dtw_pairwise(ev, ref)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, row_by_row_matrix(ev, ref, np.float32))
+
+    def test_unchanged_across_block_sizes_and_processes(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        ev = rng.normal(size=(9, 64)).astype(np.float32)
+        ref = rng.normal(size=(5, 64)).astype(np.float32)
+        whole = dtw_pairwise(ev, ref)
+        assert np.array_equal(dtw_pairwise(ev, ref, processes=2), whole)
+        for block_bytes in (1, 5 * 65 * 2 * 4, 5 * 65 * 3 * 4, 10**9):
+            monkeypatch.setattr(dtw_module, "_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(dtw_pairwise(ev, ref), whole)
+
+    def test_float32_queries_against_float64_refs_stay_float64(self):
+        # the adversarial series x_hat are float32; the references are float64
+        rng = np.random.default_rng(9)
+        ev = rng.normal(size=(6, 10)).astype(np.float32)
+        ref = rng.normal(size=(7, 10))
+        got = dtw_pairwise(ev, ref)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, dtw_pairwise(ev.astype(np.float64), ref))
+        assert np.array_equal(got, row_by_row_matrix(ev, ref))
+
+    def test_float32_values_in_lists_stay_float64(self):
+        ev = [[np.float32(0.1), np.float32(0.7)]]
+        ref = np.array([[0.2, 0.3]], dtype=np.float32)
+        assert dtw_pairwise(ev, ref).dtype == np.float64
 
 
 class TestNN1:
