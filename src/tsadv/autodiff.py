@@ -10,8 +10,9 @@ are provided.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
@@ -272,16 +273,51 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     return _node(s, (a,), backward)
 
 
-def _pad(x: np.ndarray, K: int, padding: str) -> np.ndarray:
-    """x: [B, C, L] as conv1d windows it: x itself for "valid"; for "same", a
-    copy with K - 1 zeros along L, (K - 1) // 2 of them on the left."""
-    if padding == "valid":
-        return x
-    B, C, L = x.shape
-    left = (K - 1) // 2
-    xp = np.zeros((B, C, L + K - 1), dtype=x.dtype)
-    xp[:, :, left : left + L] = x
-    return xp
+# Bytes of one block's im2col buffer, or of its input-gradient counterpart:
+# conv1d's GEMMs run over blocks of batch rows, and the weight gradient's over
+# blocks of input channels, so these buffers are bounded by the layer's shape
+# and not by B * L. The floors keep each GEMM wide: a block holds at least
+# _MIN_MACS multiply-adds and _MIN_COLUMNS output columns (row blocks) or
+# _MIN_ROWS im2col rows (channel blocks), and a row block's edges fall on
+# multiples of _ALIGN columns, a whole number of BLAS column tiles. They also
+# keep each element bitwise the unblocked GEMM's: OpenBLAS sums an element in
+# another order in a small GEMM (below 10**6 multiply-adds) or across a cut tile.
+_BLOCK_BYTES = 1 << 20
+_MIN_MACS = 1 << 22
+_MIN_COLUMNS = 256
+_MIN_ROWS = 64
+_ALIGN = 64
+
+
+def _blocks(n: int, item_bytes: int, item_macs: int, floor: int, align: int = 1) -> list[slice]:
+    """Slices of range(n), each of _BLOCK_BYTES // item_bytes items unless the
+    floors ask for more, rounded up to a multiple of ``align``; a last block
+    below the floors joins the one before it."""
+    floor = max(floor, -(-_MIN_MACS // item_macs))
+    step = -(-max(_BLOCK_BYTES // item_bytes, floor) // align) * align
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < floor:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [n])]
+
+
+def _im2col(x: np.ndarray, rows: slice, channels: slice, K: int, left: int,
+            l_out: int) -> np.ndarray:
+    """The [c·K, b·l_out] matrix of x[rows, channels]: [B, C, L] with
+    ``col[c*K + k, b*l_out + l] = x[b, c, l + k - left]``, zero outside x."""
+    xs = x[rows, channels]
+    B, C, L = xs.shape
+    # einsum passes a one-column output's windows as the [C·K, B] transpose of a
+    # [B, C·K] matrix
+    col = (np.empty((B, C, K, 1), dtype=x.dtype).transpose(1, 2, 0, 3) if l_out == 1
+           else np.empty((C, K, B, l_out), dtype=x.dtype))
+    for k in range(K):
+        lo = max(0, left - k)
+        hi = max(lo, min(l_out, L + left - k))
+        col[:, k, :, :lo] = 0
+        col[:, k, :, hi:] = 0
+        col[:, k, :, lo:hi] = xs[:, :, lo + k - left : hi + k - left].transpose(1, 0, 2)
+    return col.reshape(C * K, B * l_out)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
@@ -289,8 +325,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
 
     x: [B, C_in, L], w: [C_out, C_in, K], b: [C_out]. "same" pads to keep L,
     with the extra element on the right for even kernels; "valid" yields
-    L - K + 1 and raises if that is < 1. The weight gradient pads x again
-    rather than keep the padded copy alive until backward.
+    L - K + 1 and raises if that is < 1.
+
+    Each GEMM is the one ``einsum("bclk,ock->bol")`` over a padded
+    ``sliding_window_view`` of x makes (and ``einsum("bol,bclk->ock")`` and
+    ``tensordot(w, g, ([0], [1]))`` in backward), with its operands in the
+    same layouts, run over blocks of about _BLOCK_BYTES: the forward
+    ``w[O, C·K] @ col[C·K, rows·L]`` and the input gradient
+    ``wᵀ[C·K, O] @ g[O, rows·L]`` over batch rows, the weight gradient
+    ``col[C·K, B·L] @ g[B·L, O]`` over channels. Each output element is
+    the same BLAS reduction, so every result is bitwise the unblocked one, and
+    the output has its [O, B, L] memory layout. The im2col blocks are built
+    from x, with no padded copy.
     """
     if padding not in ("same", "valid"):
         raise ValueError(f"unknown padding mode {padding!r}")
@@ -302,24 +348,41 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "same") -> Tensor:
     l_out = L if padding == "same" else L - K + 1
     if l_out < 1:
         raise ValueError(f"conv1d: input length {L} too short for kernel {K} with valid padding")
-    windows = sliding_window_view(_pad(x.data, K, padding), K, axis=2)  # [B, Cin, Lout, K]
-    data = np.einsum("bclk,ock->bol", windows, w.data, optimize=True)
+    row_blocks = _blocks(B, Cin * K * l_out * x.data.itemsize, Cout * Cin * K * l_out,
+                         -(-_MIN_COLUMNS // l_out), _ALIGN // math.gcd(l_out, _ALIGN))
+    out = np.empty((Cout, B, l_out), dtype=np.result_type(w.data, x.data))
+    flat = out.reshape(Cout, B * l_out)
+    w_rows = w.data.reshape(Cout, Cin * K)
+    # float64 runs in one block: OpenBLAS's dgemm rounds a partial last column
+    # tile otherwise when a BLAS thread's share of its block is narrow
+    for r in row_blocks if out.dtype != np.float64 else [slice(0, B)]:
+        np.matmul(w_rows, _im2col(x.data, r, slice(None), K, left, l_out),
+                  out=flat[:, r.start * l_out : r.stop * l_out])
+    data = out.transpose(1, 0, 2)
     data += b.data[None, :, None]
 
     def backward(g):
         if _needs_grad(b):
             _accumulate(b, g.sum(axis=(0, 2)))
         if _needs_grad(w):
-            windows = sliding_window_view(_pad(x.data, K, padding), K, axis=2)
-            _accumulate(w, np.einsum("bol,bclk->ock", g, windows, optimize=True))
-            del windows  # the re-padded copy, before the input gradient's buffers
+            g_cols = g.transpose(0, 2, 1).reshape(B * l_out, Cout)
+            dw = np.empty((Cin * K, Cout), dtype=np.result_type(x.data, g))
+            for c in _blocks(Cin, K * B * l_out * x.data.itemsize, K * B * l_out * Cout,
+                             -(-_MIN_ROWS // K)):
+                np.matmul(_im2col(x.data, slice(None), c, K, left, l_out), g_cols,
+                          out=dw[c.start * K : c.stop * K])
+            del g_cols  # g's copy, before the input gradient's buffers
+            _accumulate(w, dw.reshape(Cin, K, Cout).transpose(2, 0, 1))
         if _needs_grad(x):
-            # [Cin, K, B, Lout], the same GEMM as einsum("bol,ock->bclk"); each
-            # k slice scatters into a contiguous [Cin, B, Lp] buffer
-            d_windows = np.tensordot(w.data, g, axes=([0], [1]))
+            # each k slice of a block's [Cin, K, rows, Lout] scatters into a
+            # contiguous [Cin, B, Lp] buffer, k in order
+            w_cols = w.data.transpose(1, 2, 0).reshape(Cin * K, Cout)
             gxp = np.zeros((Cin, B, l_out + K - 1), dtype=x.data.dtype)
-            for k in range(K):
-                gxp[:, :, k : k + l_out] += d_windows[:, k]
+            for r in row_blocks:
+                g_rows = g[r].transpose(1, 0, 2).reshape(Cout, -1)
+                d_col = np.dot(w_cols, g_rows).reshape(Cin, K, -1, l_out)
+                for k in range(K):
+                    gxp[:, r, k : k + l_out] += d_col[:, k]
             _accumulate(x, gxp.transpose(1, 0, 2)[:, :, left : left + L])
 
     return _node(data, (x, w, b), backward)

@@ -24,6 +24,7 @@ its own, so a dataset whose process dies fails alone, and passes its
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -31,6 +32,7 @@ import shutil
 import sys
 from collections import Counter
 from collections.abc import Callable
+from contextlib import contextmanager
 
 from .config import (BETA_GRID, DISTILL_GAMMA, TrainingDivergedError, attacks_teacher,
                      config_hash, replacing)
@@ -152,6 +154,32 @@ def _load_chain(out: str, stage: str, needed_by: str, chain: dict | None = None)
     return chain
 
 
+@contextmanager
+def _stage_lock(out: str, stage: str):
+    """Hold an exclusive ``flock`` on ``out/.<stage>.lock``, so that a second
+    builder of the stage waits; the kernel releases it if the process dies.
+
+    The holder removes the file before it lets go, so no lock file is left
+    behind; a waiter that then wins the removed file's lock tries again.
+    """
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f".{stage}.lock")
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        except FileNotFoundError:
+            pass
+        os.close(fd)
+    try:
+        yield
+    finally:
+        os.unlink(path)
+        os.close(fd)
+
+
 def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
                chain: dict | None = None) -> None:
     """Run one stage into ``out/<stage>`` unless it is up to date for ``cfg``, whose
@@ -159,36 +187,39 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
 
     ``write(path)`` writes the stage's files into ``path`` and returns the
     stage's own manifest fields. The stage is built in ``out/.<stage>.partial``
-    and replaces ``out/<stage>`` only once its manifest is written.
+    and replaces ``out/<stage>`` only once its manifest is written. The stage's
+    lock is held from the up-to-date check through the ``config.json`` echo.
     """
     if chain is not None:
         cfg = {**cfg, "upstream": {name: m["config_hash"] for name, m in chain.items()}}
     cfg_hash = config_hash(cfg)
     final = os.path.join(out, stage)
-    manifest = _committed_manifest(out, stage)  # a damaged or changed stage is rebuilt
-    if (manifest is not None and manifest["config_hash"] == cfg_hash
-            and _changed_file(out, stage, manifest) is None):
-        print(f"[{stage}] up to date (config {cfg_hash}), skipping")
-        return
-    partial = os.path.join(out, f".{stage}.partial")
-    shutil.rmtree(partial, ignore_errors=True)
-    os.makedirs(partial)
-    try:
-        fields = write(partial)
-        files = {name: _file_sha256(os.path.join(partial, name)) for name in os.listdir(partial)}
-        _write_json(os.path.join(partial, "manifest.json"),
-                    {**fields, "config_hash": cfg_hash, "config": cfg, "files": files})
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(partial, final)
-    finally:
+    with _stage_lock(out, stage):
+        manifest = _committed_manifest(out, stage)  # a damaged or changed stage is rebuilt
+        if (manifest is not None and manifest["config_hash"] == cfg_hash
+                and _changed_file(out, stage, manifest) is None):
+            print(f"[{stage}] up to date (config {cfg_hash}), skipping")
+            return
+        partial = os.path.join(out, f".{stage}.partial")
         shutil.rmtree(partial, ignore_errors=True)
-    # rebuilt from the loaded and committed manifests, so a damaged echo never fails a
-    # later stage; a damaged stage is left out, since this stage has committed already
-    loaded = {**(chain or {}), stage: {"config": cfg}}
-    manifests = {name: loaded.get(name) or _committed_manifest(out, name)
-                 for name in _STAGE_COMMANDS}
-    _write_json(os.path.join(out, "config.json"),
-                {name: m["config"] for name, m in manifests.items() if m is not None})
+        os.makedirs(partial)
+        try:
+            fields = write(partial)
+            files = {name: _file_sha256(os.path.join(partial, name))
+                     for name in os.listdir(partial)}
+            _write_json(os.path.join(partial, "manifest.json"),
+                        {**fields, "config_hash": cfg_hash, "config": cfg, "files": files})
+            shutil.rmtree(final, ignore_errors=True)
+            os.rename(partial, final)
+        finally:
+            shutil.rmtree(partial, ignore_errors=True)
+        # rebuilt from the loaded and committed manifests, so a damaged echo never fails a
+        # later stage; a damaged stage is left out, since this stage has committed already
+        loaded = {**(chain or {}), stage: {"config": cfg}}
+        manifests = {name: loaded.get(name) or _committed_manifest(out, name)
+                     for name in _STAGE_COMMANDS}
+        _write_json(os.path.join(out, "config.json"),
+                    {name: m["config"] for name, m in manifests.items() if m is not None})
 
 
 def _load_arrays(out: str, stage: str, name: str, *keys: str) -> list:

@@ -239,9 +239,10 @@ class Network:
 
 # Whole-split passes run over chunks of rows, each holding at most this many
 # elements of the widest per-row conv buffer, max(Cin*K*L, Cout*L) at series
-# length L, so their memory is bounded by the shapes and not by the row count.
-# The FCN's rows are bitwise the same in any batch; LeNet-5's are not, and it
-# stays in one chunk up to 2912 rows at L = 24.
+# length L, so their activations are bounded by the shapes and not by the row
+# count; conv1d bounds its im2col buffers itself, in blocks. The chunk sizes
+# stay as they were, since LeNet-5's rows are not bitwise the same in any
+# batch (the FCN's are): it stays in one chunk up to 2912 rows at L = 24.
 _CHUNK_ELEMENTS = 1 << 21
 
 

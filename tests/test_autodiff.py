@@ -437,6 +437,73 @@ class TestFusedKernelParity:
         assert np.array_equal(np.signbit(x.grad), np.signbit(old_dx))
 
 
+class TestConvBlocks:
+    """conv1d's GEMMs run over blocks of rows and of channels whose size its
+    byte budget sets; no budget changes a bit of its output or gradients."""
+
+    @staticmethod
+    def conv_results(x_data, w_data, b_data, g, padding):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
+        out = ad.conv1d(x, w, b, padding)
+        out._backward(g)
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("b, cin, cout, k, length", [
+        (150, 32, 64, 5, 48), (151, 50, 48, 3, 37), (101, 40, 48, 4, 40), (400, 1, 64, 8, 64),
+        (67, 128, 256, 5, 24)])
+    @pytest.mark.parametrize("g_order", ["bol", "obl"])
+    def test_results_unchanged_across_block_budgets(self, monkeypatch, dtype, padding, b, cin,
+                                                    cout, k, length, g_order):
+        """A 1-byte budget makes the narrowest blocks the floors allow, and
+        B is no multiple of their rows; the gradient reaches the layer in the
+        [B, O, L] memory order or in conv1d's own [O, B, L] one. The last
+        shape's valid output has 67 * 20 columns, 12 past a whole column tile,
+        which OpenBLAS's dgemm rounds otherwise in a narrow block."""
+        rng = np.random.default_rng(35)
+        x_data = rng.normal(size=(b, cin, length)).astype(dtype)
+        w_data = rng.normal(size=(cout, cin, k)).astype(dtype)
+        b_data = rng.normal(size=cout).astype(dtype)
+        l_out = length if padding == "same" else length - k + 1
+        g = rng.normal(size=(b, cout, l_out)).astype(dtype)
+        if g_order == "obl":
+            g = np.ascontiguousarray(g.transpose(1, 0, 2)).transpose(1, 0, 2)
+        blocks = ad._blocks
+        counts = []  # blocks per call: rows (forward and input gradient), then channels
+        monkeypatch.setattr(ad, "_blocks", lambda *args: counts.append(len(blocks(*args)))
+                            or blocks(*args))
+        default = self.conv_results(x_data, w_data, b_data, g, padding)
+        for budget in (1, 10**12):
+            counts.clear()
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", budget)
+            results = self.conv_results(x_data, w_data, b_data, g, padding)
+            for new, old in zip(results, default):
+                assert new.dtype == old.dtype and new.strides == old.strides
+                assert np.array_equal(new, old)
+            if budget == 1:
+                assert counts[0] > 1 and (counts[1] > 1 or cin == 1), counts
+            else:
+                assert counts == [1, 1]
+        assert default[0].strides[:2] == (l_out * default[0].itemsize,
+                                          b * l_out * default[0].itemsize)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_small_gemms_are_not_split(self, monkeypatch, dtype):
+        """A weight gradient of 1.2 * 10**6 multiply-adds stays one GEMM at a
+        1-byte budget: split into two channel blocks below 10**6 each,
+        OpenBLAS would sum its elements in another order."""
+        rng = np.random.default_rng(36)
+        x_data = rng.normal(size=(25, 32, 24)).astype(dtype)
+        w_data = rng.normal(size=(16, 32, 4)).astype(dtype)
+        b_data = rng.normal(size=16).astype(dtype)
+        g = rng.normal(size=(25, 16, 24)).astype(dtype)
+        default = self.conv_results(x_data, w_data, b_data, g, "same")
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+        for new, old in zip(self.conv_results(x_data, w_data, b_data, g, "same"), default):
+            assert np.array_equal(new, old)
+
+
 class TestLosses:
     def test_cross_entropy_fixed_value(self):
         loss = cross_entropy(np.array([1.0, 0.0]), Tensor(np.array([0.9, 0.1])))

@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict
 
@@ -926,6 +927,76 @@ class TestInterruptedStage:
         for fname, state_hash in zip(manifest["gatn_files"], manifest["gatn_state_hashes"]):
             assert load_model(os.path.join(out, "attack", fname)).state_hash() == state_hash
         assert not os.path.exists(os.path.join(out, ".attack.partial"))
+
+
+# evaluate, paused between its two reports files until the file argv[2] exists
+PAUSED_BUILDER = """
+import os, sys, time
+import tsadv.reports as reports
+from tsadv.cli import main
+save = reports.save_reports_json
+def paused(*args, **kwargs):
+    open(sys.argv[1], "w").close()
+    deadline = time.monotonic() + 120
+    while not os.path.exists(sys.argv[2]):
+        if time.monotonic() > deadline:
+            sys.exit("never resumed")
+        time.sleep(0.01)
+    return save(*args, **kwargs)
+reports.save_reports_json = paused
+sys.exit(main(sys.argv[3:]))
+"""
+# evaluate, touching the file argv[1] before it waits for a stage lock
+LOCKING_BUILDER = """
+import fcntl, sys
+flock = fcntl.flock
+def marked(fd, op):
+    open(sys.argv[1], "w").close()
+    return flock(fd, op)
+fcntl.flock = marked
+from tsadv.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestConcurrentBuilders:
+    def test_second_builder_waits_for_the_first(self, black_dtw_run, tmp_path, capsys):
+        """Two processes rebuild one stage with different settings: the second
+        starts while the first has written one of its two reports files. The
+        first commits whole, then the second rebuilds; before, the second
+        replaced the first's build directory under it, and the first failed."""
+        out = copy_run(black_dtw_run, tmp_path)
+        paused, resume, waiting = (str(tmp_path / name) for name in ("paused", "resume", "waiting"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+
+        def start(*argv):
+            return subprocess.Popen([sys.executable, "-c", *argv], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+        def wait_for(path, proc):
+            deadline = time.monotonic() + 120
+            while not os.path.exists(path) and proc.poll() is None:
+                assert time.monotonic() < deadline, f"neither {path} nor an exit"
+                time.sleep(0.01)
+
+        first = start(PAUSED_BUILDER, paused, resume, "evaluate", "--out", out,
+                      "--criterion", "unlabeled")
+        wait_for(paused, first)
+        assert first.poll() is None, first.communicate()[1]
+        second = start(LOCKING_BUILDER, waiting, "evaluate", "--out", out, "--all-betas")
+        wait_for(waiting, second)
+        open(resume, "w").close()
+        for proc in (first, second):
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        manifest = read_manifest(out, "reports")
+        assert manifest["config"]["criterion"] == "labeled" and manifest["config"]["all_betas"]
+        provenance = json.load(open(os.path.join(out, "reports", "reports.json")))["provenance"]
+        assert provenance["criterion"] == "labeled"
+        capsys.readouterr()
+        assert run("evaluate", "--out", out, "--all-betas") == 0
+        assert "up to date" in capsys.readouterr().out
 
 
 class TestConfigFile:
