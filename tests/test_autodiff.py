@@ -712,7 +712,8 @@ class TestGraphRelease:
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_frozen_weight_conv1d_backward_holds_no_padded_input(self, frozen):
-        """No conv1d keeps its padded input: a trainable one pads x again in backward."""
+        """No conv1d keeps a padded input: a trainable one builds im2col blocks from x
+        again in backward."""
         rng = np.random.default_rng(61)
         x = Tensor(rng.normal(size=(4, 3, 10)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=not frozen)
