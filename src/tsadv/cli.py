@@ -158,23 +158,34 @@ def _load_chain(out: str, stage: str, needed_by: str, chain: dict | None = None)
 def _stage_lock(out: str, stage: str):
     """Hold an exclusive ``flock`` on ``out/.<stage>.lock``, so that a second
     builder of the stage waits; the kernel releases it if the process dies.
+    Yields whether it waited for another builder.
 
     The holder removes the file before it lets go, so no lock file is left
     behind; a waiter that then wins the removed file's lock tries again.
     """
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f".{stage}.lock")
+    waited = False
     while True:
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            os.makedirs(out, exist_ok=True)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise ValueError(f"cannot create the lock file {path} to rebuild the {stage} "
+                             f"stage: {exc.strerror}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            waited = True
+            fcntl.flock(fd, fcntl.LOCK_EX)
         try:
             if os.path.samestat(os.fstat(fd), os.stat(path)):
                 break
         except FileNotFoundError:
             pass
+        waited = True
         os.close(fd)
     try:
-        yield
+        yield waited
     finally:
         os.unlink(path)
         os.close(fd)
@@ -187,18 +198,27 @@ def _run_stage(out: str, stage: str, cfg: dict, write: Callable[[str], dict],
 
     ``write(path)`` writes the stage's files into ``path`` and returns the
     stage's own manifest fields. The stage is built in ``out/.<stage>.partial``
-    and replaces ``out/<stage>`` only once its manifest is written. The stage's
-    lock is held from the up-to-date check through the ``config.json`` echo.
+    and replaces ``out/<stage>`` only once its manifest is written. An up-to-date
+    stage writes nothing. A rebuild holds the stage's lock through the
+    ``config.json`` echo, and checks again once it has waited for another builder.
     """
     if chain is not None:
         cfg = {**cfg, "upstream": {name: m["config_hash"] for name, m in chain.items()}}
     cfg_hash = config_hash(cfg)
     final = os.path.join(out, stage)
-    with _stage_lock(out, stage):
+
+    def up_to_date() -> bool:
         manifest = _committed_manifest(out, stage)  # a damaged or changed stage is rebuilt
         if (manifest is not None and manifest["config_hash"] == cfg_hash
                 and _changed_file(out, stage, manifest) is None):
             print(f"[{stage}] up to date (config {cfg_hash}), skipping")
+            return True
+        return False
+
+    if up_to_date():
+        return
+    with _stage_lock(out, stage) as waited:
+        if waited and up_to_date():  # the other builder committed it
             return
         partial = os.path.join(out, f".{stage}.partial")
         shutil.rmtree(partial, ignore_errors=True)

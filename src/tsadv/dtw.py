@@ -40,11 +40,13 @@ def dtw_distance(q, c) -> float:
 
 
 # Query rows are swept in blocks whose (T+1) x pairs wavefront buffers take
-# about this many bytes: 1024 float64 pairs at T = 24, which beat 512, 2048 and
-# 4096 on 1029 x 67 x 24 (2-vCPU VM). At T = 512 one row per block (67 pairs)
-# took 0.85 s against 1.41 s for 1024 pairs on 16 x 67 (same VM, best of 3).
+# about this many bytes, so the six arrays of a block (three wavefronts, the
+# costs, the repeated queries and the tiled references) stay in a 2 MiB L2
+# cache: 41 float32 rows (20 float64) at T = 24 against 67 references, 2 (1)
+# at T = 512. Beyond that a block runs from memory; at T = 512 float64, 2 rows
+# of 67 pairs took 0.60 s against 0.50 s for 1 row on 12 x 67 (2-vCPU VM).
 # A float32 block holds twice the rows in the same memory.
-_BLOCK_BYTES = 1024 * 25 * 8
+_BLOCK_BYTES = 272 << 10
 
 
 def _block_rows(num_refs: int, length: int, itemsize: int) -> int:
@@ -60,35 +62,37 @@ def _row_blocks(queries: np.ndarray, num_refs: int) -> list[np.ndarray]:
 def _dtw_block(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """DTW distances [n, m] of queries [n, T] against refs [m, U].
 
-    Sweeps the anti-diagonals k = i + j of the cumulative cost matrix for all
-    n*m pairs at once (the last two, contiguous axes): cell (i, j) gets
-    cost(i, j) + min(up, diagonal, left). Row -1 and column -1 are +inf with
-    a single 0 at the (-1, -1) corner, so the first row and column add one
-    cost per cell, as a running sum does. The min is exact, so each cell is
-    bitwise what the row-by-row recurrence computes in the same dtype. The
-    square root is taken once, of the total minimal cost.
+    The n*m pairs are laid out pair-major, pair p = i*m + j in column p: the
+    queries repeated into a [T, n*m] array and the reversed references tiled
+    into a [U, n*m] one, so the cells of one anti-diagonal k = i + j of the
+    cumulative cost matrix are contiguous row slices of both. Each diagonal
+    writes min(up, diagonal, left) straight into its output slice and adds
+    the squared differences to it, with no broadcasting. Row -1 and column -1
+    are +inf with a single 0 at the (-1, -1) corner, so the first row and
+    column add one cost per cell, as a running sum does. The min is exact, so
+    each cell is bitwise what the row-by-row recurrence computes in the same
+    dtype. The square root is taken once, of the total minimal cost.
     """
-    t, u = queries.shape[1], refs.shape[1]
-    q = queries.T[:, :, None]
-    # reversed columns, so the cells of one diagonal read a forward slice
-    r = np.ascontiguousarray(refs.T[::-1])[:, None, :]
-    shape, dtype = (t + 1, queries.shape[0], refs.shape[0]), queries.dtype
+    (n, t), (m, u) = queries.shape, refs.shape
+    q = np.repeat(queries.T, m, axis=1)
+    # reversed, so a diagonal reads a forward slice; tile keeps refs' layout when n = 1
+    r = np.ascontiguousarray(np.tile(refs.T[::-1], (1, n)))
+    shape, dtype = (t + 1, n * m), queries.dtype
     # diagonals k-2, k-1 and k, indexed by row i + 1
     older, old, cur = (np.full(shape, np.inf, dtype) for _ in range(3))
     older[0] = 0.0
-    best_buf, cost_buf = np.empty(shape, dtype), np.empty(shape, dtype)
+    cost_buf = np.empty((min(t, u), n * m), dtype)
     for k in range(t + u - 1):
         lo, hi = max(0, k - u + 1), min(t - 1, k)
-        cells = hi + 1 - lo
-        best = np.minimum(old[lo:hi + 1], older[lo:hi + 1], out=best_buf[:cells])  # up, diagonal
+        best = np.minimum(old[lo:hi + 1], older[lo:hi + 1], out=cur[lo + 1:hi + 2])  # up, diagonal
         np.minimum(best, old[lo + 1:hi + 2], out=best)  # left
-        cost = np.subtract(q[lo:hi + 1], r[u - 1 - k + lo:u - k + hi], out=cost_buf[:cells])
+        cost = np.subtract(q[lo:hi + 1], r[u - 1 - k + lo:u - k + hi], out=cost_buf[:hi + 1 - lo])
         np.square(cost, out=cost)
-        np.add(cost, best, out=cur[lo + 1:hi + 2])
+        np.add(cost, best, out=best)
         if k == 0:
             older[0] = np.inf  # the corner feeds cell (0, 0) only
         older, old, cur = old, cur, older
-    return np.sqrt(old[t])
+    return np.sqrt(old[t]).reshape(n, m)
 
 
 def dtw_pairwise(eval_values: np.ndarray, ref_values: np.ndarray,

@@ -999,6 +999,38 @@ class TestConcurrentBuilders:
         assert "up to date" in capsys.readouterr().out
 
 
+@pytest.fixture
+def unwritable_locks(monkeypatch):
+    """``os.open`` refuses every stage lock file, as in a run directory the user cannot write."""
+    real_open = os.open
+
+    def refusing(path, flags, *args, **kwargs):
+        if str(path).endswith(".lock"):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)
+
+
+class TestReadOnlyRunDirectory:
+    def test_up_to_date_stage_takes_no_lock(self, black_dtw_run, tmp_path, capsys,
+                                            unwritable_locks):
+        out = copy_run(black_dtw_run, tmp_path)
+        before = sorted(os.listdir(out))
+        assert run("evaluate", "--out", out) == 0
+        assert "up to date" in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == before
+
+    def test_stale_stage_without_a_lock_is_an_error_line(self, black_dtw_run, tmp_path, capsys,
+                                                         unwritable_locks):
+        out = copy_run(black_dtw_run, tmp_path)
+        assert run("evaluate", "--out", out, "--all-betas") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert os.path.join(out, ".reports.lock") in err
+        assert read_manifest(out, "reports") == read_manifest(black_dtw_run, "reports")
+
+
 class TestConfigFile:
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

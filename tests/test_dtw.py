@@ -142,7 +142,9 @@ class TestDistanceMatrix:
         (4, 5, 6, 9),      # T < U
         (4, 5, 11, 3),     # T > U
         (40, 67, 24, 24),  # several blocks of query rows
-        (3, 1100, 6, 6),   # more references than one block's pairs: one query per block
+        (3, 1100, 6, 6),   # many references
+        # more references than one block holds: one query per block
+        (3, dtw_module._BLOCK_BYTES // (8 * 3) + 1, 2, 1),
     ])
     def test_bitwise_equal_to_row_by_row_oracle(self, n, m, t, u):
         rng = np.random.default_rng(n * 1000 + m + t + u)
@@ -160,12 +162,12 @@ class TestDistanceMatrix:
         assert all(np.array_equal(got[i], got[11]) for i in (3, 17, 29))
 
     def test_block_rows_are_a_function_of_the_shapes(self):
-        # bytes per block, not pairs: 15 float64 query rows (1005 pairs) at T = 24
-        # against 67 references, as when blocks held 1024 pairs, and one row at
-        # T = 512; float32 blocks hold twice the rows in the same bytes
-        assert [dtw_module._block_rows(67, t, 8) for t in (24, 128, 512)] == [15, 2, 1]
-        assert [dtw_module._block_rows(67, t, 4) for t in (24, 128, 512)] == [30, 5, 1]
-        assert dtw_module._block_rows(1, 24, 8) == 1024
+        # bytes per block, not pairs: 20 float64 query rows (1340 pairs) at T = 24
+        # against 67 references and one row at T = 512; float32 blocks hold twice
+        # the rows in the same bytes
+        assert [dtw_module._block_rows(67, t, 8) for t in (24, 128, 512)] == [20, 4, 1]
+        assert [dtw_module._block_rows(67, t, 4) for t in (24, 128, 512)] == [41, 8, 2]
+        assert dtw_module._block_rows(1, 24, 8) == 1392
         assert dtw_module._block_rows(2000, 24, 8) == 1
 
     def test_long_series_matrix_unchanged_across_block_sizes(self, monkeypatch):
@@ -184,13 +186,31 @@ class TestDistanceMatrix:
         ref = rng.normal(size=(67, 10))
         assert np.array_equal(dtw_pairwise(ev, ref, processes=2), row_by_row_matrix(ev, ref))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_unchanged_across_block_budgets_at_t24(self, dtype, monkeypatch):
+        rng = np.random.default_rng(13)
+        ev = rng.normal(size=(50, 24)).astype(dtype)
+        ref = rng.normal(size=(67, 24)).astype(dtype)
+        rows = dtw_module._block_rows(67, 24, np.dtype(dtype).itemsize)
+        assert 1 < rows < 50 and 50 % rows
+        whole = dtw_pairwise(ev, ref)
+        # the rows on each side of the default blocks' edges, and the last partial block
+        edges = sorted({0, 49} | {e for s in range(rows, 50, rows) for e in (s - 1, s)})
+        assert np.array_equal(whole[edges], row_by_row_matrix(ev[edges], ref, dtype))
+        for block_bytes in (1, 10**9):
+            monkeypatch.setattr(dtw_module, "_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(dtw_pairwise(ev, ref), whole)
+
 
 class TestFloat32Matrix:
     @pytest.mark.parametrize("n, m, t, u", [
         (3, 4, 1, 1),
         (4, 5, 6, 9),
+        (5, 6, 7, 1),      # U = 1
         (4, 5, 11, 3),
         (40, 67, 24, 24),  # several float32 blocks of query rows
+        (3, 1100, 6, 6),   # many references
+        (3, dtw_module._BLOCK_BYTES // (4 * 3) + 1, 2, 1),  # one query per float32 block
     ])
     def test_bitwise_equal_to_float32_row_by_row_oracle(self, n, m, t, u):
         rng = np.random.default_rng(n * 1000 + m + t + u)
